@@ -238,14 +238,22 @@ class ParseError(ValueError):
 def _require_int_matrix(value, field_name):
     try:
         arr = np.asarray(value)
-    except Exception as exc:
+        if arr.size and not np.issubdtype(arr.dtype, np.integer):
+            flat = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"field {field_name!r}: {exc}") from None
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        flat = np.asarray(value, dtype=float).ravel()
         if np.any(flat != np.rint(flat)):
             raise ParseError(f"field {field_name!r}: non-integer coefficient")
-        arr = np.rint(np.asarray(value, dtype=float)).astype(np.int64)
+        arr = np.rint(flat)
     return arr.astype(np.int64)
+
+
+def _require_int(doc, key, path) -> int:
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{path}: field {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def read_instance(path) -> Instance:
@@ -254,19 +262,25 @@ def read_instance(path) -> Instance:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     for key in ("problem", "p", "n", "m", "C", "A", "b", "senses", "name"):
         if key not in doc:
             raise ParseError(f"{path}: missing field {key!r}")
+    if doc["problem"] != "mo01lp":
+        raise ParseError(f"{path}: field 'problem' must be 'mo01lp', got {doc['problem']!r}")
+    if not isinstance(doc["senses"], list):
+        raise ParseError(f"{path}: field 'senses' must be a list")
+    p, n, m = (_require_int(doc, key, path) for key in ("p", "n", "m"))
     C = _require_int_matrix(doc["C"], "C")
     A = _require_int_matrix(doc["A"], "A")
     b = _require_int_matrix(doc["b"], "b")
-    p, n, m = int(doc["p"]), int(doc["n"]), int(doc["m"])
     if C.shape != (p, n):
         raise ParseError(f"{path}: field 'C' has shape {C.shape}, expected ({p}, {n})")
     if A.shape != (m, n):
         raise ParseError(f"{path}: field 'A' has shape {A.shape}, expected ({m}, {n})")
     if b.shape != (m,):
-        raise ParseError(f"{path}: field 'b' has {b.shape[0]} entries, expected {m}")
+        raise ParseError(f"{path}: field 'b' has shape {b.shape}, expected ({m},)")
     if len(doc["senses"]) != m:
         raise ParseError(f"{path}: field 'senses' has {len(doc['senses'])} entries, expected {m}")
     try:

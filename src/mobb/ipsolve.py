@@ -137,20 +137,17 @@ def solve_econstraint(sub: RelaxedSubproblem, k: int, eps, time_limit: float = m
     if len(eps) != p - 1:
         raise ValueError(f"eps needs {p - 1} entries, got {len(eps)}")
     others = [i for i in range(p) if i != k]
-    stage1 = RelaxedSubproblem(inst, dict(sub.fixings), list(sub.cut_rows),
-                               list(sub.objective_rows))
-    for i, e in zip(others, eps):
-        # z_i <= e  as  -C_i x >= -e
-        stage1.cut_rows.append((-inst.C[i].astype(float), -float(e)))
+    # z_i <= e  as  -C_i x >= -e
+    caps = [(-inst.C[i].astype(float), -float(e)) for i, e in zip(others, eps)]
+    stage1 = RelaxedSubproblem(inst, dict(sub.fixings), sub.cut_rows + caps)
     res1 = solve_single_objective(stage1, inst.C[k].astype(float), time_limit)
     if res1.status == STATUS_INFEASIBLE:
         return res1, 1
     if res1.status == STATUS_NO_SOLUTION_TIMEOUT:
         return res1, 1
     cap = res1.value
-    stage2 = RelaxedSubproblem(inst, dict(stage1.fixings), list(stage1.cut_rows),
-                               list(stage1.objective_rows))
-    stage2.cut_rows.append((-inst.C[k].astype(float), -float(cap)))
+    stage2 = RelaxedSubproblem(inst, dict(stage1.fixings), stage1.cut_rows
+                               + [(-inst.C[k].astype(float), -float(cap))])
     c2 = inst.C.sum(axis=0).astype(float)
     res2 = solve_single_objective(stage2, c2, time_limit)
     if res2.status in (STATUS_INFEASIBLE, STATUS_NO_SOLUTION_TIMEOUT):

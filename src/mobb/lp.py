@@ -1,4 +1,5 @@
-"""Dense two-phase simplex and the vector-LP frontier of the linear relaxation."""
+"""Dense simplex on one warm-started tableau per subproblem, and the vector-LP
+frontier of the linear relaxation."""
 
 from __future__ import annotations
 
@@ -8,19 +9,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import Kind, LowerBoundSet, local_ideal
+from .bounds import Kind, LowerBoundSet
 from .model import FLOAT_TOL, Instance, ModelError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-EXACT_2D = "exact2d"
-OUTER_APPROX = "outer"
-
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-7
 _BLAND_AFTER = 1000   # degenerate pivots before switching to Bland's rule
+_LEX_CAP = 1e-7       # slack on the stage-1 value when a lexmin caps it
 
 
 class InfeasibleSubproblem(Exception):
@@ -39,190 +38,223 @@ class RelaxedSubproblem:
     """A node's relaxation: fixings plus inherited valid-inequality pool.
 
     ``cut_rows`` are decision-space inequalities a.x >= rhs (level-set cuts are
-    stored here after integer rounding); ``objective_rows`` are (lam, rhs)
-    pairs meaning lam.C.x >= rhs.
+    stored here after integer rounding). The subproblem is also the node's one
+    LP: its first solve builds the constraint system and keeps the simplex
+    tableau, so rows must not change once solving starts.
     """
 
     instance: Instance
     fixings: dict = field(default_factory=dict)
     cut_rows: list = field(default_factory=list)       # [(np.ndarray a, rhs)]
-    objective_rows: list = field(default_factory=list) # [(np.ndarray lam, rhs)]
-    _built: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def with_fixing(self, j: int, v: int) -> "RelaxedSubproblem":
         fx = dict(self.fixings)
         fx[j] = v
-        return RelaxedSubproblem(self.instance, fx, list(self.cut_rows),
-                                 list(self.objective_rows))
+        return RelaxedSubproblem(self.instance, fx, list(self.cut_rows))
 
     def free_vars(self):
         return [j for j in range(self.instance.n) if j not in self.fixings]
 
-    def ge_rows(self):
-        """All cut rows as decision-space (a, rhs) with a.x >= rhs."""
-        rows = [(np.asarray(a, dtype=float), float(r)) for a, r in self.cut_rows]
-        for lam, r in self.objective_rows:
-            rows.append((np.asarray(lam, dtype=float) @ self.instance.C, float(r)))
-        return rows
+    @functools.cached_property
+    def lp(self) -> "_NodeLP":
+        return _NodeLP(self)
+
+
+def _pivot(T, basis, r, j):
+    """Make column j basic in row r: one Gauss-Jordan step over all of T."""
+    T[r] /= T[r, j]
+    factor = T[:, j].copy()
+    factor[r] = 0.0
+    T -= np.outer(factor, T[r])
+    basis[r] = j
+
+
+def _price_out(row, T, basis):
+    """``row`` less the constraint rows of T that zero it on the basic columns."""
+    return row - row[basis] @ T[:len(basis)]
+
+
+def _optimize(T, basis, ncols):
+    """Primal simplex on the reduced costs in T's last row; only the first
+    ``ncols`` columns may enter. Returns OPTIMAL or UNBOUNDED."""
+    rows = T[:-1]
+    degenerate = 0
+    while True:
+        obj = T[-1, :ncols]
+        use_bland = degenerate > _BLAND_AFTER
+        if use_bland:
+            cands = np.flatnonzero(obj < -_PIVOT_TOL)
+            entering = int(cands[0]) if len(cands) else -1
+        else:
+            entering = int(np.argmin(obj))
+            if obj[entering] >= -_PIVOT_TOL:
+                entering = -1
+        if entering < 0:
+            return OPTIMAL
+        col = rows[:, entering]
+        pos = col > _PIVOT_TOL
+        if not pos.any():
+            return UNBOUNDED
+        ratios = np.where(pos, rows[:, -1] / np.where(pos, col, 1.0), np.inf)
+        rmin = float(ratios.min())
+        if rmin <= _PIVOT_TOL:
+            degenerate += 1
+        tie = np.flatnonzero(np.abs(ratios - rmin) <= 1e-12)
+        if use_bland and len(tie) > 1:
+            leave = int(tie[np.argmin(basis[tie])])
+        else:
+            leave = int(tie[0])
+        _pivot(T, basis, leave, entering)
+
+
+@dataclass
+class _Tableau:
+    """A primal feasible simplex tableau for ``A y <= b, y >= 0``.
+
+    Columns are the ``nv`` structural ones, then slacks, then the rhs. The
+    constraint rows are in canonical form for ``basis``; the last row holds
+    the reduced costs of the last objective and minus its value. Any new
+    objective reoptimizes from this basis, which stays primal feasible.
+    """
+
+    T: np.ndarray
+    basis: np.ndarray
+    nv: int
+
+    @classmethod
+    def phase1(cls, A, b):
+        """A feasible basis by minimizing the sum of artificials, or None."""
+        m, nv = A.shape
+        art_rows = np.flatnonzero(b < 0)
+        na = len(art_rows)
+        # columns: structural | slacks | artificials | rhs
+        T = np.zeros((m + 1, nv + m + na + 1))
+        T[:m, :nv] = A
+        T[:m, nv:nv + m] = np.eye(m)
+        T[:m, -1] = b
+        T[art_rows] *= -1.0
+        basis = nv + np.arange(m)
+        if na:
+            art_cols = nv + m + np.arange(na)
+            T[art_rows, art_cols] = 1.0
+            basis[art_rows] = art_cols
+            T[-1, art_cols] = 1.0
+            T[-1] = _price_out(T[-1], T, basis)
+            _optimize(T, basis, nv + m)
+            if -T[-1, -1] > _FEAS_TOL:
+                return None
+            # drive the artificials left at zero out of the basis; a row with
+            # no other support is redundant and goes with them
+            alive = np.ones(m + 1, dtype=bool)
+            for i in np.flatnonzero(basis >= nv + m):
+                nz = np.flatnonzero(np.abs(T[i, :nv + m]) > _PIVOT_TOL)
+                if len(nz):
+                    _pivot(T, basis, i, int(nz[0]))
+                else:
+                    alive[i] = False
+            T = np.delete(T[alive], art_cols, axis=1)
+            basis = basis[alive[:m]]
+        return cls(T, basis, nv)
+
+    def optimize(self, c) -> str:
+        """Phase 2 for min c.y from the current basis."""
+        row = np.zeros(self.T.shape[1])
+        row[:self.nv] = c
+        self.T[-1] = _price_out(row, self.T, self.basis)
+        return _optimize(self.T, self.basis, self.T.shape[1] - 1)
+
+    def point(self):
+        """(value, y) of the current basic solution."""
+        y = np.zeros(self.nv)
+        structural = self.basis < self.nv
+        y[self.basis[structural]] = self.T[:-1, -1][structural]
+        return float(-self.T[-1, -1]), y
+
+    def with_row(self, a, rhs) -> "_Tableau":
+        """A copy with the row a.y <= rhs appended and its slack basic.
+
+        The copy is primal feasible when the current point satisfies the row;
+        its objective row is left for the next ``optimize``.
+        """
+        m = len(self.basis)
+        w = self.T.shape[1]
+        T = np.zeros((m + 2, w + 1))
+        T[:m, :w - 1] = self.T[:m, :-1]
+        T[:m, -1] = self.T[:m, -1]
+        row = np.zeros(w + 1)
+        row[:self.nv] = a
+        row[w - 1] = 1.0
+        row[-1] = rhs
+        T[m] = _price_out(row, T, self.basis)
+        return _Tableau(T, np.append(self.basis, w - 1), self.nv)
+
+
+class _NodeLP:
+    """A subproblem's LE system over its free variables, built once, and the
+    tableau of its last simplex solve.
+
+    Only the first simplex solve runs phase 1. Later objectives start phase 2
+    from the last optimal basis, which stays primal feasible because only the
+    objective changes (Chvatal 1983, ch. 10).
+    """
+
+    def __init__(self, sub: RelaxedSubproblem):
+        inst = sub.instance
+        self.n = inst.n
+        A_le, b_le = inst.le_normalized()
+        rows = [A_le.astype(float)]
+        rhs = [b_le.astype(float)]
+        for a, r in sub.cut_rows:
+            rows.append(-np.asarray(a, dtype=float)[None, :])
+            rhs.append(np.array([-float(r)]))
+        A = np.vstack(rows)
+        b = np.concatenate(rhs)
+        self.free = np.asarray(sub.free_vars(), dtype=np.int64)
+        self.fixed_idx = np.asarray(sorted(sub.fixings), dtype=np.int64)
+        self.xf = np.asarray([sub.fixings[j] for j in self.fixed_idx], dtype=float)
+        if len(self.fixed_idx):
+            b = b - A[:, self.fixed_idx] @ self.xf
+        Af = A[:, self.free]
+        # rows with no free support must hold outright
+        empty = np.all(np.abs(Af) <= 1e-12, axis=1)
+        self.infeasible = bool(np.any(b[empty] < -_FEAS_TOL))
+        Af = Af[~empty]
+        bf = b[~empty]
+        # fractional knapsack: one nonnegative row plus box bounds
+        self.knapsack = len(Af) == 1 and bool(np.all(Af[0] >= 0))
+        # box: x_j <= 1 for free variables
+        k = len(self.free)
+        self.A = np.vstack([Af, np.eye(k)])
+        self.b = np.concatenate([bf, np.ones(k)])
+        self.tableau = None
+
+    def fixed_point(self) -> np.ndarray:
+        x = np.zeros(self.n)
+        x[self.fixed_idx] = self.xf
+        return x
+
+    def simplex(self, cf) -> _Tableau:
+        """The tableau reoptimized for min cf.y, or None if infeasible."""
+        if self.tableau is None:
+            self.tableau = _Tableau.phase1(self.A, self.b)
+            if self.tableau is None:
+                self.infeasible = True
+                return None
+        if self.tableau.optimize(cf) == UNBOUNDED:
+            raise ModelError("unbounded LP over a boxed binary relaxation")
+        return self.tableau
 
 
 def _simplex(c, A, b):
-    """min c.y  s.t.  A y <= b, y >= 0. Returns (status, value, y)."""
-    m, nv = A.shape
-    A = A.astype(float).copy()
-    b = b.astype(float).copy()
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    na = int(neg.sum())
-    # columns: structural | slacks | artificials | rhs
-    T = np.zeros((m, nv + m + na + 1))
-    T[:, :nv] = A
-    T[:, nv:nv + m] = np.eye(m)
-    T[np.where(neg)[0], nv + np.where(neg)[0]] = -1.0
-    art_cols = []
-    basis = np.empty(m, dtype=int)
-    k = 0
-    for i in range(m):
-        if neg[i]:
-            col = nv + m + k
-            T[i, col] = 1.0
-            art_cols.append(col)
-            basis[i] = col
-            k += 1
-        else:
-            basis[i] = nv + i
-    T[:, -1] = b
-
-    ncols = nv + m + na
-
-    def run(obj_row, allowed_cols):
-        nonlocal T
-        degenerate = 0
-        while True:
-            use_bland = degenerate > _BLAND_AFTER
-            entering = -1
-            if use_bland:
-                for j in allowed_cols:
-                    if obj_row[j] < -_PIVOT_TOL:
-                        entering = j
-                        break
-            else:
-                vals = obj_row[allowed_cols]
-                jmin = int(np.argmin(vals))
-                if vals[jmin] < -_PIVOT_TOL:
-                    entering = allowed_cols[jmin]
-            if entering < 0:
-                return OPTIMAL
-            col = T[:, entering]
-            pos = col > _PIVOT_TOL
-            if not pos.any():
-                return UNBOUNDED
-            ratios = np.where(pos, T[:, -1] / np.where(pos, col, 1.0), np.inf)
-            rmin = float(ratios.min())
-            if rmin <= _PIVOT_TOL:
-                degenerate += 1
-            tie = np.where(np.abs(ratios - rmin) <= 1e-12)[0]
-            if use_bland and len(tie) > 1:
-                leave = int(tie[np.argmin(basis[tie])])
-            else:
-                leave = int(tie[0])
-            piv = T[leave, entering]
-            T[leave] /= piv
-            factor = T[:, entering].copy()
-            factor[leave] = 0.0
-            T -= np.outer(factor, T[leave])
-            obj_row -= obj_row[entering] * T[leave]
-            basis[leave] = entering
-
-    rows_alive = np.ones(m, dtype=bool)
-    if na:
-        # phase 1: minimize the sum of artificials
-        obj1 = np.zeros(ncols + 1)
-        for col in art_cols:
-            obj1[col] = 1.0
-        for i in range(m):
-            if basis[i] in art_cols:
-                obj1 -= T[i]
-        allowed = list(range(nv + m))
-        status = run(obj1, allowed)
-        phase1 = -obj1[-1]
-        if phase1 > _FEAS_TOL:
-            return INFEASIBLE, 0.0, None
-        # drive remaining artificials out of the basis
-        for i in range(m):
-            if basis[i] in art_cols:
-                row = T[i, :nv + m]
-                nz = np.where(np.abs(row) > _PIVOT_TOL)[0]
-                if len(nz) == 0:
-                    rows_alive[i] = False
-                    continue
-                j = int(nz[0])
-                piv = T[i, j]
-                T[i] /= piv
-                factor = T[:, j].copy()
-                factor[i] = 0.0
-                T -= np.outer(factor, T[i])
-                basis[i] = j
-
-    # phase 2
-    c_full = np.zeros(ncols + 1)
-    c_full[:nv] = c
-    obj2 = c_full.copy()
-    for i in range(m):
-        if rows_alive[i] and abs(c_full[basis[i]]) > 0:
-            obj2 -= c_full[basis[i]] * T[i]
-    allowed = [j for j in range(nv + m) if j not in art_cols]
-    status = run(obj2, allowed)
-    if status == UNBOUNDED:
+    """min c.y  s.t.  A y <= b, y >= 0, from a slack basis. Returns
+    (status, value, y)."""
+    tab = _Tableau.phase1(np.asarray(A, dtype=float), np.asarray(b, dtype=float))
+    if tab is None:
+        return INFEASIBLE, 0.0, None
+    if tab.optimize(c) == UNBOUNDED:
         return UNBOUNDED, 0.0, None
-    y = np.zeros(nv)
-    for i in range(m):
-        if rows_alive[i] and basis[i] < nv:
-            y[basis[i]] = T[i, -1]
-    return OPTIMAL, float(-obj2[-1]), y
-
-
-def _build_le_system(sub: RelaxedSubproblem):
-    """LE-form rows over the free variables, with fixings substituted out.
-
-    Memoized on the subproblem: rows never change once solving starts, and a
-    frontier computation solves many LPs over the same constraint system.
-    """
-    if sub._built is not None:
-        return sub._built[0]
-    inst = sub.instance
-    A_le, b_le = inst.le_normalized()
-    rows = [A_le.astype(float)]
-    rhs = [b_le.astype(float)]
-    for a, r in sub.ge_rows():
-        rows.append(-a[None, :])
-        rhs.append(np.array([-r]))
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    free = sub.free_vars()
-    if sub.fixings:
-        fixed_idx = sorted(sub.fixings)
-        xf = np.array([sub.fixings[j] for j in fixed_idx], dtype=float)
-        b = b - A[:, fixed_idx] @ xf
-    Af = A[:, free]
-    # rows with no free support must hold outright
-    empty = np.all(np.abs(Af) <= 1e-12, axis=1)
-    if np.any(b[empty] < -_FEAS_TOL):
-        sub._built = (None,)
-        return None
-    Af = Af[~empty]
-    bf = b[~empty]
-    n_struct = Af.shape[0]
-    # box: x_j <= 1 for free variables
-    if free:
-        Af = np.vstack([Af, np.eye(len(free))])
-        bf = np.concatenate([bf, np.ones(len(free))])
-    fixed_idx = np.asarray(sorted(sub.fixings), dtype=np.int64)
-    xf = np.asarray([sub.fixings[j] for j in fixed_idx], dtype=float)
-    sub._built = ((np.asarray(free, dtype=np.int64), Af, bf, n_struct,
-                   fixed_idx, xf),)
-    return sub._built[0]
+    value, y = tab.point()
+    return OPTIMAL, value, y
 
 
 def _greedy_knapsack_lp(c, w, cap):
@@ -247,34 +279,30 @@ def _greedy_knapsack_lp(c, w, cap):
 
 
 def solve_lp(sub: RelaxedSubproblem, c) -> LpResult:
-    """min c.x over the subproblem's relaxation (0 <= x <= 1, fixings applied)."""
+    """min c.x over the subproblem's relaxation (0 <= x <= 1, fixings applied).
+
+    Reoptimizes the subproblem's tableau from its last basis.
+    """
     c = np.asarray(c, dtype=float)
-    inst = sub.instance
-    built = _build_le_system(sub)
-    if built is None:
+    lp = sub.lp
+    if lp.infeasible:
         return LpResult(status=INFEASIBLE)
-    free, Af, bf, n_struct, fixed_idx, xf = built
-    x_full = np.zeros(inst.n)
-    offset = 0.0
-    if len(fixed_idx):
-        x_full[fixed_idx] = xf
-        offset = float(c[fixed_idx] @ xf)
-    if not len(free):
+    x_full = lp.fixed_point()
+    offset = float(c[lp.fixed_idx] @ lp.xf)
+    if not len(lp.free):
         return LpResult(status=OPTIMAL, value=offset, x=x_full)
-    cf = c[free]
-    if n_struct == 1 and np.all(Af[0] >= 0):
-        # fractional knapsack: one nonnegative row plus box bounds
-        y = _greedy_knapsack_lp(cf, Af[0], bf[0])
+    cf = c[lp.free]
+    if lp.knapsack:
+        y = _greedy_knapsack_lp(cf, lp.A[0], lp.b[0])
         if y is None:
             return LpResult(status=INFEASIBLE)
-        x_full[free] = y
+        x_full[lp.free] = y
         return LpResult(status=OPTIMAL, value=float(cf @ y) + offset, x=x_full)
-    status, value, y = _simplex(cf, Af, bf)
-    if status != OPTIMAL:
-        if status == INFEASIBLE:
-            return LpResult(status=INFEASIBLE)
-        raise ModelError("unbounded LP over a boxed binary relaxation")
-    x_full[free] = np.clip(y, 0.0, 1.0)
+    tab = lp.simplex(cf)
+    if tab is None:
+        return LpResult(status=INFEASIBLE)
+    value, y = tab.point()
+    x_full[lp.free] = np.clip(y, 0.0, 1.0)
     return LpResult(status=OPTIMAL, value=value + offset, x=x_full)
 
 
@@ -285,55 +313,51 @@ def solve_lp_batch(sub: RelaxedSubproblem, Cs) -> list:
     knapsack fast path this avoids most per-solve overhead.
     """
     Cs = np.asarray(Cs, dtype=float)
-    built = _build_le_system(sub)
-    if built is None:
+    lp = sub.lp
+    if lp.infeasible:
         return [LpResult(status=INFEASIBLE)] * len(Cs)
-    free, Af, bf, n_struct, fixed_idx, xf = built
-    if not (len(free) and n_struct == 1 and np.all(Af[0] >= 0)):
+    if not (len(lp.free) and lp.knapsack):
         return [solve_lp(sub, c) for c in Cs]
-    w, cap = Af[0], bf[0]
+    w, cap = lp.A[0], lp.b[0]
     if cap < -_FEAS_TOL:
         return [LpResult(status=INFEASIBLE)] * len(Cs)
-    offsets = Cs[:, fixed_idx] @ xf if len(fixed_idx) else np.zeros(len(Cs))
-    base = np.zeros(sub.instance.n)
-    if len(fixed_idx):
-        base[fixed_idx] = xf
+    offsets = Cs[:, lp.fixed_idx] @ lp.xf
+    base = lp.fixed_point()
     out = []
-    for c_row, off in zip(Cs[:, free], offsets):
+    for c_row, off in zip(Cs[:, lp.free], offsets):
         y = _greedy_knapsack_lp(c_row, w, cap)
         x_full = base.copy()
-        x_full[free] = y
+        x_full[lp.free] = y
         out.append(LpResult(status=OPTIMAL, value=float(c_row @ y) + float(off),
                             x=x_full))
     return out
 
 
-def solve_weighted_lp(sub: RelaxedSubproblem, lam) -> LpResult:
-    """min lam.C.x over the relaxation; (lam, value) supports the frontier."""
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0) or not np.any(lam > 0):
-        raise ModelError("weight vector must be nonnegative and nonzero")
-    return solve_lp(sub, lam @ sub.instance.C)
+def _lexmin(sub: RelaxedSubproblem, k: int, j: int):
+    """Lexicographic minimum over the relaxation: min z_k, then min z_j.
 
-
-def _lexmin(sub: RelaxedSubproblem, k: int, order):
-    """Lexicographic minimum over the relaxation: min z_k, then the others."""
+    Stage 2 appends the cap z_k <= v_k + _LEX_CAP to a copy of the stage-1
+    optimal tableau. The cap's slack is basic at _LEX_CAP >= 0, so the copy is
+    primal feasible and phase 2 runs on it without a phase 1.
+    """
     inst = sub.instance
-    res = solve_lp(sub, inst.C[k].astype(float))
+    ck = inst.C[k].astype(float)
+    res = solve_lp(sub, ck)
     if res.status == INFEASIBLE:
         return None
     vk = res.value
-    capped = RelaxedSubproblem(inst, dict(sub.fixings), list(sub.cut_rows),
-                               list(sub.objective_rows))
-    capped.cut_rows.append((-inst.C[k].astype(float), -(vk + 1e-7)))
-    c2 = np.zeros(inst.n)
-    for i in order:
-        c2 = c2 + inst.C[i].astype(float)
-    res2 = solve_lp(capped, c2)
-    if res2.status == INFEASIBLE:  # numeric edge: fall back to stage-1 point
-        res2 = res
-    y = inst.C @ res2.x
-    return vk, y, res2.x
+    lp = sub.lp
+    x = res.x
+    if len(lp.free):
+        a = ck[lp.free]
+        cap = vk + _LEX_CAP - float(ck[lp.fixed_idx] @ lp.xf)
+        # already optimal for z_k, with no pivot, unless the knapsack greedy
+        # answered stage 1; then this builds the tableau
+        capped = lp.simplex(a).with_row(a, cap)
+        capped.optimize(inst.C[j, lp.free].astype(float))
+        x = lp.fixed_point()
+        x[lp.free] = np.clip(capped.point()[1], 0.0, 1.0)
+    return vk, inst.C @ x, x
 
 
 def _normalize(lam):
@@ -344,10 +368,10 @@ def _normalize(lam):
 def _frontier_2d(sub: RelaxedSubproblem, tol: float = FLOAT_TOL) -> LowerBoundSet:
     """All extreme supported points of a biobjective relaxation, dichotomically."""
     inst = sub.instance
-    left = _lexmin(sub, 0, [1])
+    left = _lexmin(sub, 0, 1)
     if left is None:
         raise InfeasibleSubproblem(inst.name)
-    right = _lexmin(sub, 1, [0])
+    right = _lexmin(sub, 1, 0)
     v1, yL, xL = left
     v2, yR, xR = right
     hyperplanes = [(np.array([1.0, 0.0]), v1), (np.array([0.0, 1.0]), v2)]
@@ -363,7 +387,7 @@ def _frontier_2d(sub: RelaxedSubproblem, tol: float = FLOAT_TOL) -> LowerBoundSe
             if lam[0] <= 1e-9 or lam[1] <= 1e-9:
                 continue
             lam = _normalize(lam)
-            res = solve_weighted_lp(sub, lam)
+            res = solve_lp(sub, lam @ inst.C)
             hyperplanes.append((lam, res.value))
             if res.value < float(lam @ ya) - tol:
                 yc = inst.C @ res.x
@@ -449,7 +473,7 @@ def _refine(sub, hyperplanes, points, sols, refine_max, facet_tol):
     def weighted(lam):
         key = tuple(np.round(lam, 9))
         if key not in cache:
-            cache[key] = solve_weighted_lp(sub, lam)
+            cache[key] = solve_lp(sub, lam @ inst.C)
         return cache[key]
 
     solves = 0
@@ -520,17 +544,13 @@ def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
                          facet_offsets=L.facet_offsets)
 
 
-def lower_bound_frontier(sub: RelaxedSubproblem, mode: str = None,
+def lower_bound_frontier(sub: RelaxedSubproblem,
                          refine_max: int = 50) -> LowerBoundSet:
-    """Full lower bound set of a subproblem's linear relaxation.
+    """Full lower bound set of a subproblem's linear relaxation: exact for
+    p == 2, an outer approximation for p >= 3.
 
     Raises InfeasibleSubproblem when the relaxation is empty.
     """
-    p = sub.instance.p
-    if mode is None:
-        mode = EXACT_2D if p == 2 else OUTER_APPROX
-    if mode == EXACT_2D:
-        if p != 2:
-            raise ModelError("exact dichotomic frontier requires p == 2")
+    if sub.instance.p == 2:
         return _frontier_2d(sub)
     return _frontier_outer(sub, refine_max=refine_max)

@@ -8,6 +8,7 @@ fixed 1e-9 tolerance elsewhere.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +78,14 @@ class Instance:
         return self.A.shape[0]
 
     def le_normalized(self):
-        """All constraints as (A_le, b_le) with sense <=; eq rows become two rows."""
+        """All constraints as (A_le, b_le) with sense <=; eq rows become two rows.
+
+        Computed once per instance; the arrays are read-only.
+        """
+        return self._le
+
+    @functools.cached_property
+    def _le(self):
         rows, rhs = [], []
         for i, s in enumerate(self.senses):
             if s == SENSE_LE:
@@ -91,7 +99,11 @@ class Instance:
                 rhs.append(self.b[i])
                 rows.append(-self.A[i])
                 rhs.append(-self.b[i])
-        return np.array(rows, dtype=np.int64), np.array(rhs, dtype=np.int64)
+        A_le = np.array(rows, dtype=np.int64)
+        b_le = np.array(rhs, dtype=np.int64)
+        A_le.flags.writeable = False
+        b_le.flags.writeable = False
+        return A_le, b_le
 
 
 @dataclass(frozen=True)

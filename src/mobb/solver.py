@@ -17,11 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bounds as bnd
 from .bounds import (IncumbentList, Kind, LocalUpperBoundSet, LowerBoundSet,
                      MEASURE_HSZ, MEASURE_LHG, default_big_m, gap_argmax_lub,
-                     gap_values, is_strictly_above, local_ideal, node_gap,
-                     surviving_mask)
+                     gap_values, local_ideal, surviving_mask)
 from .ipsolve import (STATUS_INFEASIBLE, STATUS_NO_SOLUTION_TIMEOUT,
                       STATUS_OPTIMAL, augmented_unit_weights, solve_econstraint,
                       solve_weighted_sum_ip)
@@ -247,6 +245,7 @@ class Solver:
         p = instance.p
         self.M = int(self.config.big_m) if self.config.big_m else default_big_m(instance.C)
         self.U = IncumbentList()
+        self._images = set()    # the images in U, kept in step by _accept
         self.K = LocalUpperBoundSet(p, self.M)
         self.root_cuts = []
         self._deadline = None
@@ -258,8 +257,10 @@ class Solver:
         return max(self._deadline - time.monotonic(), 0.01)
 
     def _accept(self, sol: Solution) -> bool:
-        accepted, _ = self.U.update(sol)
+        accepted, removed = self.U.update(sol)
         if accepted:
+            self._images.difference_update(s.image for s in removed)
+            self._images.add(sol.image)
             self.K.update(np.asarray(sol.image))
         return accepted
 
@@ -372,8 +373,7 @@ class Solver:
                 self._record_fathom(node, "infeasibility")
                 return "infeasibility"
             self._accept(sols[0])
-            cause = ("optimality" if sols[0].image in set(self.U.images())
-                     else "dominance")
+            cause = "optimality" if sols[0].image in self._images else "dominance"
             self._record_fathom(node, cause)
             return cause
 
@@ -423,7 +423,7 @@ class Solver:
             ptr = np.rint(pt)
             if np.max(np.abs(pt - ptr)) <= _INT_TOL:
                 key = tuple(int(v) for v in ptr)
-                if key in set(self.U.images()):
+                if key in self._images:
                     self._record_fathom(node, "optimality")
                     return "optimality"
 

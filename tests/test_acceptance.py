@@ -20,7 +20,7 @@ from mobb.cli import (APPROACHES, BENCH_HEADER, PROFILE_HEADER,
                       approach_config, main)
 from mobb.instances import GeneratorSpec, generate, write_instance
 from mobb.lp import InfeasibleSubproblem, RelaxedSubproblem, \
-    lower_bound_frontier, solve_weighted_lp
+    lower_bound_frontier, solve_lp
 from mobb.model import Instance, enumerate_nondominated, weakly_dominates
 from mobb.solver import SolverConfig, solve
 
@@ -168,7 +168,7 @@ class TestAcceptance:
                 pts = L.extreme_points
                 if len(pts) == 1:
                     lam = np.array([0.5, 0.5])
-                    v = solve_weighted_lp(sub, lam).value
+                    v = solve_lp(sub, lam @ inst.C).value
                     assert abs(float(lam @ pts[0]) - v) <= 1e-9
                     points_checked += 1
                     continue
@@ -176,7 +176,7 @@ class TestAcceptance:
                     lam = np.array([ya[1] - yb[1], yb[0] - ya[0]])
                     lam = lam / lam.sum()
                     assert np.all(lam > 0)
-                    v = solve_weighted_lp(sub, lam).value
+                    v = solve_lp(sub, lam @ inst.C).value
                     # both endpoints of the facet re-optimize this weight
                     assert abs(float(lam @ ya) - v) <= 1e-9
                     assert abs(float(lam @ yb) - v) <= 1e-9

@@ -77,6 +77,13 @@ class TestSolveCommand:
             main(["solve", str(kp_file), "--frobnicate"])
         assert exc.value.code == 2
 
+    def test_malformed_file_is_clean_error(self, kp_file, capsys):
+        doc = json.loads(kp_file.read_text())
+        doc["p"] = "x"
+        kp_file.write_text(json.dumps(doc))
+        assert main(["solve", str(kp_file)]) == 2
+        assert "'p' must be an integer" in capsys.readouterr().err
+
     def test_missing_file_reported(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -167,6 +167,32 @@ class TestFileFormat:
         with pytest.raises(ParseError):
             read_instance(path)
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("p", "x", "'p' must be an integer"),
+        ("n", 4.5, "'n' must be an integer"),
+        ("m", True, "'m' must be an integer"),
+        ("problem", "nope", "'problem' must be 'mo01lp'"),
+        ("senses", 5, "'senses' must be a list"),
+        ("C", [["a", "b", "c", "d"], [1, 2, 3, 4]], "'C'"),
+        ("b", 5, "'b' has shape"),
+    ])
+    def test_malformed_field_rejected(self, tmp_path, key, value, match):
+        inst = generate(GeneratorSpec(family="KP", p=2, seed=0, items=4))
+        path = tmp_path / "bad.json"
+        write_instance(inst, path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=match):
+            read_instance(path)
+
+    def test_top_level_array_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(["problem", "p", "n", "m", "C", "A", "b",
+                                    "senses", "name"]))
+        with pytest.raises(ParseError, match="JSON object"):
+            read_instance(path)
+
 
 class TestGapStructure:
     def test_assignment_rows_partition_jobs(self):

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobb.bounds import Kind
-from mobb.lp import (EXACT_2D, INFEASIBLE, OPTIMAL, InfeasibleSubproblem,
-                     OUTER_APPROX, RelaxedSubproblem, _greedy_knapsack_lp,
-                     _region_vertices, _simplex, lower_bound_frontier,
-                     refine_frontier, solve_lp, solve_lp_batch,
-                     solve_weighted_lp)
-from mobb.model import Instance, ModelError
+from mobb.lp import (INFEASIBLE, OPTIMAL, InfeasibleSubproblem,
+                     RelaxedSubproblem, _greedy_knapsack_lp, _region_vertices,
+                     _simplex, lower_bound_frontier, refine_frontier, solve_lp,
+                     solve_lp_batch)
+from mobb.model import Instance
 
 
 def cover_instance():
@@ -60,13 +59,13 @@ class TestSimplex:
 class TestSolveLp:
     def test_weighted_unit_direction(self):
         sub = RelaxedSubproblem(cover_instance())
-        res = solve_weighted_lp(sub, (1.0, 0.0))
+        res = solve_lp(sub, np.array([1.0, 0.0]) @ sub.instance.C)
         assert res.status == OPTIMAL
         assert res.value == pytest.approx(0.0, abs=1e-9)
 
     def test_equal_weights_on_tight_constraint(self):
         sub = RelaxedSubproblem(cover_instance())
-        res = solve_weighted_lp(sub, (0.5, 0.5))
+        res = solve_lp(sub, np.array([0.5, 0.5]) @ sub.instance.C)
         assert res.value == pytest.approx(0.5, abs=1e-9)
 
     def test_fixings_substituted(self):
@@ -87,11 +86,6 @@ class TestSolveLp:
         sub = RelaxedSubproblem(inst, cut_rows=[(np.array([1.0, 0.0]), 1.0)])
         res = solve_lp(sub, np.array([1.0, 0.0]))
         assert res.value == pytest.approx(1.0)
-
-    def test_negative_weight_rejected(self):
-        sub = RelaxedSubproblem(cover_instance())
-        with pytest.raises(ModelError):
-            solve_weighted_lp(sub, (-1.0, 1.0))
 
     def test_batch_agrees_with_single_solves(self):
         inst = random_instance(5, p=3, n=6)
@@ -125,7 +119,7 @@ class TestGreedyKnapsackLp:
 class TestFrontier2d:
     def test_cover_segment(self):
         sub = RelaxedSubproblem(cover_instance())
-        L = lower_bound_frontier(sub, mode=EXACT_2D)
+        L = lower_bound_frontier(sub)
         assert L.kind == Kind.FULL
         pts = sorted(tuple(np.round(y, 6)) for y in L.extreme_points)
         assert pts == [(0.0, 1.0), (1.0, 0.0)]
@@ -136,7 +130,7 @@ class TestFrontier2d:
     def test_all_fixed_single_point(self):
         inst = cover_instance()
         sub = RelaxedSubproblem(inst, fixings={0: 1, 1: 0})
-        L = lower_bound_frontier(sub, mode=EXACT_2D)
+        L = lower_bound_frontier(sub)
         assert len(L.extreme_points) == 1
         assert list(L.extreme_points[0]) == [1.0, 0.0]
         assert len(L.hyperplanes) >= 2  # one per unit direction
@@ -145,11 +139,6 @@ class TestFrontier2d:
         inst = Instance(C=[[1, 0], [0, 1]], A=[[1, 1]], b=[-1], senses=("le",))
         with pytest.raises(InfeasibleSubproblem):
             lower_bound_frontier(RelaxedSubproblem(inst))
-
-    def test_wrong_dimension_rejected(self):
-        inst = random_instance(1, p=3)
-        with pytest.raises(ModelError):
-            lower_bound_frontier(RelaxedSubproblem(inst), mode=EXACT_2D)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
@@ -170,15 +159,14 @@ class TestFrontier2d:
 class TestFrontierOuter:
     def test_zero_refinement_has_p_plus_one_hyperplanes(self):
         inst = random_instance(3, p=3, n=6)
-        L = lower_bound_frontier(RelaxedSubproblem(inst), mode=OUTER_APPROX,
-                                 refine_max=0)
+        L = lower_bound_frontier(RelaxedSubproblem(inst), refine_max=0)
         assert len(L.hyperplanes) == 4
         assert L.facet_offsets is not None and len(L.facet_offsets) == 3
 
     def test_refinement_only_adds_planes(self):
         inst = random_instance(4, p=3, n=7)
         sub = RelaxedSubproblem(inst)
-        L0 = lower_bound_frontier(sub, mode=OUTER_APPROX, refine_max=0)
+        L0 = lower_bound_frontier(sub, refine_max=0)
         L1 = refine_frontier(RelaxedSubproblem(inst), L0, refine_max=20)
         assert len(L1.hyperplanes) >= len(L0.hyperplanes)
         assert list(L1.facet_offsets) == list(L0.facet_offsets)

@@ -1,9 +1,8 @@
 """Multi-objective 0-1 integer linear programming by adaptive branch and bound."""
 
 from .bounds import (IncumbentList, LocalUpperBoundSet, LowerBoundSet,
-                     dominance_fathom, hv_box_gap, hv_simplex_gap,
-                     is_strictly_above, local_ideal, node_gap, spanning_points,
-                     update_incumbents, update_local_upper_bounds)
+                     hv_box_gap, hv_simplex_gap, is_strictly_above,
+                     local_ideal, spanning_points)
 from .instances import GeneratorSpec, generate, read_instance, write_instance
 from .model import (Dominance, Instance, Solution, compare,
                     enumerate_nondominated, evaluate, ideal_and_nadir,
@@ -13,9 +12,8 @@ from .solver import SolverConfig, SolveStats, solve
 __all__ = [
     "Dominance", "GeneratorSpec", "IncumbentList", "Instance",
     "LocalUpperBoundSet", "LowerBoundSet", "Solution", "SolverConfig",
-    "SolveStats", "compare", "dominance_fathom", "enumerate_nondominated",
-    "evaluate", "generate", "hv_box_gap", "hv_simplex_gap", "ideal_and_nadir",
-    "is_feasible", "is_strictly_above", "local_ideal", "node_gap",
-    "read_instance", "solve", "spanning_points", "update_incumbents",
-    "update_local_upper_bounds", "write_instance",
+    "SolveStats", "compare", "enumerate_nondominated", "evaluate", "generate",
+    "hv_box_gap", "hv_simplex_gap", "ideal_and_nadir", "is_feasible",
+    "is_strictly_above", "local_ideal", "read_instance", "solve",
+    "spanning_points", "write_instance",
 ]

@@ -91,12 +91,6 @@ def surviving_mask(L: LowerBoundSet, U) -> np.ndarray:
     return np.all(U @ normals.T > rhs[None, :] + FLOAT_TOL, axis=1)
 
 
-def dominance_fathom(L: LowerBoundSet, K: "LocalUpperBoundSet"):
-    """Fathoming test iii): no local upper bound strictly above L."""
-    surviving = K.arr[surviving_mask(L, K.arr)]
-    return len(surviving) == 0, surviving
-
-
 def spanning_points(L: LowerBoundSet, lu) -> list:
     """Axis-parallel projections of a local upper bound onto the bound set.
 
@@ -163,14 +157,6 @@ def gap_values(L: LowerBoundSet, surviving, measure: str) -> np.ndarray:
     return np.prod(np.maximum(t, 0.0), axis=1) / math.factorial(p)
 
 
-def node_gap(L: LowerBoundSet, K: "LocalUpperBoundSet", measure: str) -> float:
-    """Largest per-lub gap over the local upper bounds still above L."""
-    surviving = K.arr[surviving_mask(L, K.arr)]
-    if not len(surviving):
-        return 0.0
-    return float(gap_values(L, surviving, measure).max())
-
-
 def gap_argmax_lub(L: LowerBoundSet, surviving, measure: str):
     """The surviving local upper bound attaining the node's gap measure."""
     if not len(surviving):
@@ -203,11 +189,6 @@ class IncumbentList:
         kept.append(candidate)
         self.entries = kept
         return True, removed
-
-
-def update_incumbents(U: IncumbentList, candidate: Solution):
-    accepted, removed = U.update(candidate)
-    return U, accepted, removed
 
 
 class LocalUpperBoundSet:
@@ -253,10 +234,6 @@ def _maximal(points):
     # after dedupe, u <= v for v != u implies u is strictly covered somewhere
     le = np.all(U[:, None, :] <= U[None, :, :], axis=2)
     return U[le.sum(axis=1) == 1]
-
-
-def update_local_upper_bounds(K: LocalUpperBoundSet, z) -> LocalUpperBoundSet:
-    return K.update(z)
 
 
 def brute_force_lubs(images, p: int, M: int):

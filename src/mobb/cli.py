@@ -86,14 +86,22 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _fixings(text: str) -> dict:
+    """``--fix`` value: comma separated ``j=v`` pairs as {j: v}."""
+    fixings = {}
+    for part in text.split(","):
+        j, _, v = part.partition("=")
+        try:
+            fixings[int(j)] = int(v)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma separated j=v pairs, got {part!r}") from None
+    return fixings
+
+
 def cmd_oracle(args) -> int:
     instance = read_instance(args.instance)
-    fixings = {}
-    if args.fix:
-        for part in args.fix.split(","):
-            j, v = part.split("=")
-            fixings[int(j)] = int(v)
-    sols = enumerate_nondominated(instance, fixings, cap=args.cap)
+    sols = enumerate_nondominated(instance, args.fix, cap=args.cap)
     print(f"nondominated points: {len(sols)}")
     for s in sols:
         print("  " + " ".join(str(v) for v in s.image))
@@ -210,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="brute-force frontier")
     p_oracle.add_argument("instance")
-    p_oracle.add_argument("--fix", help="comma separated j=v fixings")
+    p_oracle.add_argument("--fix", type=_fixings, help="comma separated j=v fixings")
     p_oracle.add_argument("--cap", type=int, default=25)
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -238,13 +238,17 @@ class ParseError(ValueError):
 def _require_int_matrix(value, field_name):
     try:
         arr = np.asarray(value)
-        if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        # floats, and integers numpy could not hold as int64 (uint64, object)
+        if arr.size and not np.issubdtype(arr.dtype, np.signedinteger):
             flat = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"field {field_name!r}: {exc}") from None
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+    if arr.size and not np.issubdtype(arr.dtype, np.signedinteger):
         if np.any(flat != np.rint(flat)):
             raise ParseError(f"field {field_name!r}: non-integer coefficient")
+        # as floats, ints just below -2**63 round to it, so it is refused too
+        if np.any(np.abs(flat) >= 2.0**63):
+            raise ParseError(f"field {field_name!r}: coefficient outside the int64 range")
         arr = np.rint(flat)
     return arr.astype(np.int64)
 

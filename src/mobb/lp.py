@@ -20,6 +20,7 @@ _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-7
 _BLAND_AFTER = 1000   # degenerate pivots before switching to Bland's rule
 _LEX_CAP = 1e-7       # slack on the stage-1 value when a lexmin caps it
+_FACET_TOL = 1e-7     # a refinement plane must cut a vertex off by more than this
 
 
 class InfeasibleSubproblem(Exception):
@@ -306,33 +307,6 @@ def solve_lp(sub: RelaxedSubproblem, c) -> LpResult:
     return LpResult(status=OPTIMAL, value=value + offset, x=x_full)
 
 
-def solve_lp_batch(sub: RelaxedSubproblem, Cs) -> list:
-    """min c.x for several objective rows over one relaxation.
-
-    Shares the built constraint system across rows; with the fractional
-    knapsack fast path this avoids most per-solve overhead.
-    """
-    Cs = np.asarray(Cs, dtype=float)
-    lp = sub.lp
-    if lp.infeasible:
-        return [LpResult(status=INFEASIBLE)] * len(Cs)
-    if not (len(lp.free) and lp.knapsack):
-        return [solve_lp(sub, c) for c in Cs]
-    w, cap = lp.A[0], lp.b[0]
-    if cap < -_FEAS_TOL:
-        return [LpResult(status=INFEASIBLE)] * len(Cs)
-    offsets = Cs[:, lp.fixed_idx] @ lp.xf
-    base = lp.fixed_point()
-    out = []
-    for c_row, off in zip(Cs[:, lp.free], offsets):
-        y = _greedy_knapsack_lp(c_row, w, cap)
-        x_full = base.copy()
-        x_full[lp.free] = y
-        out.append(LpResult(status=OPTIMAL, value=float(c_row @ y) + float(off),
-                            x=x_full))
-    return out
-
-
 def _lexmin(sub: RelaxedSubproblem, k: int, j: int):
     """Lexicographic minimum over the relaxation: min z_k, then min z_j.
 
@@ -365,7 +339,7 @@ def _normalize(lam):
     return lam / lam.sum()
 
 
-def _frontier_2d(sub: RelaxedSubproblem, tol: float = FLOAT_TOL) -> LowerBoundSet:
+def _frontier_2d(sub: RelaxedSubproblem) -> LowerBoundSet:
     """All extreme supported points of a biobjective relaxation, dichotomically."""
     inst = sub.instance
     left = _lexmin(sub, 0, 1)
@@ -389,7 +363,7 @@ def _frontier_2d(sub: RelaxedSubproblem, tol: float = FLOAT_TOL) -> LowerBoundSe
             lam = _normalize(lam)
             res = solve_lp(sub, lam @ inst.C)
             hyperplanes.append((lam, res.value))
-            if res.value < float(lam @ ya) - tol:
+            if res.value < float(lam @ ya) - FLOAT_TOL:
                 yc = inst.C @ res.x
                 points.append(yc)
                 sols.append(res.x)
@@ -428,14 +402,10 @@ def _region_vertices(normals, rhs, p):
     return verts[np.sort(idx)]
 
 
-def _frontier_outer(sub: RelaxedSubproblem, refine_max: int,
-                    facet_tol: float = 1e-7) -> LowerBoundSet:
-    """Outer approximation of the frontier for p >= 3 objectives.
-
-    Starts from the augmented unit weights plus the all-ones weight and
-    refines vertices of the current outer region that are cut off by a fresh
-    supporting hyperplane. Stopping early keeps the bound valid, only weaker.
-    """
+def _frontier_outer(sub: RelaxedSubproblem) -> LowerBoundSet:
+    """Initial outer approximation of the frontier for p >= 3 objectives:
+    planes for the augmented unit weights plus the all-ones weight, and the
+    per-objective minima as axis facets. ``refine_frontier`` tightens it."""
     inst = sub.instance
     p = inst.p
     delta = 1e-3
@@ -447,7 +417,7 @@ def _frontier_outer(sub: RelaxedSubproblem, refine_max: int,
     weights.append(_normalize(np.ones(p)))
     Cf = inst.C.astype(float)
     objs = np.vstack([np.asarray(weights) @ Cf, Cf])
-    results = solve_lp_batch(sub, objs)
+    results = [solve_lp(sub, c) for c in objs]
     if any(r.status == INFEASIBLE for r in results):
         raise InfeasibleSubproblem(inst.name)
     hyperplanes, points, sols = [], [], []
@@ -457,17 +427,37 @@ def _frontier_outer(sub: RelaxedSubproblem, refine_max: int,
         sols.append(res.x)
     # valid axis facets from pure per-objective minima
     offsets = np.array([r.value for r in results[len(weights):]])
-    _refine(sub, hyperplanes, points, sols, refine_max, facet_tol)
     points, sols = _dedupe_points(points, sols)
     return LowerBoundSet(kind=Kind.FULL, hyperplanes=hyperplanes,
                          extreme_points=points, extreme_solutions=sols,
                          facet_offsets=offsets)
 
 
-def _refine(sub, hyperplanes, points, sols, refine_max, facet_tol):
-    """Cut off unsupported vertices of the outer region, in rounds, in place."""
+def _dedupe_points(points, sols):
+    uniq = {}
+    for y, x in zip(points, sols):
+        uniq.setdefault(tuple(np.round(y, 7)), (y, x))
+    return ([uniq[k][0] for k in sorted(uniq)],
+            [uniq[k][1] for k in sorted(uniq)])
+
+
+def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
+                    refine_max: int) -> LowerBoundSet:
+    """Outer-approximation refinement of a full bound set, with at most
+    ``refine_max`` LP solves.
+
+    Vertices of the outer region that a fresh supporting hyperplane cuts off
+    are removed in rounds. Stopping early keeps the bound valid, only weaker.
+    Fathoming tests are monotone in the bound, so callers may first test the
+    unrefined bound and only pay for refinement when the node survives.
+    """
     inst = sub.instance
     p = inst.p
+    if refine_max <= 0 or L.kind != Kind.FULL or p == 2:
+        return L
+    hyperplanes = list(L.hyperplanes)
+    points = list(L.extreme_points)
+    sols = list(L.extreme_solutions)
     cache = {}
 
     def weighted(lam):
@@ -502,7 +492,7 @@ def _refine(sub, hyperplanes, points, sols, refine_max, facet_tol):
                 continue
             res = weighted(lam)
             solves += 1
-            if res.value > float(lam @ v) + facet_tol:
+            if res.value > float(lam @ v) + _FACET_TOL:
                 pending.setdefault(lam_key, (lam, res))
             else:
                 supported.add(key)
@@ -515,42 +505,19 @@ def _refine(sub, hyperplanes, points, sols, refine_max, facet_tol):
             hyperplanes.append((lam, res.value))
             points.append(inst.C @ res.x)
             sols.append(res.x)
-
-
-def _dedupe_points(points, sols):
-    uniq = {}
-    for y, x in zip(points, sols):
-        uniq.setdefault(tuple(np.round(y, 7)), (y, x))
-    return ([uniq[k][0] for k in sorted(uniq)],
-            [uniq[k][1] for k in sorted(uniq)])
-
-
-def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
-                    refine_max: int, facet_tol: float = 1e-7) -> LowerBoundSet:
-    """Continue outer-approximation refinement of a full bound set.
-
-    Fathoming tests are monotone in the bound, so callers may first test the
-    unrefined bound and only pay for refinement when the node survives.
-    """
-    if refine_max <= 0 or L.kind != Kind.FULL or sub.instance.p == 2:
-        return L
-    hyperplanes = list(L.hyperplanes)
-    points = list(L.extreme_points)
-    sols = list(L.extreme_solutions)
-    _refine(sub, hyperplanes, points, sols, refine_max, facet_tol)
     points, sols = _dedupe_points(points, sols)
     return LowerBoundSet(kind=Kind.FULL, hyperplanes=hyperplanes,
                          extreme_points=points, extreme_solutions=sols,
                          facet_offsets=L.facet_offsets)
 
 
-def lower_bound_frontier(sub: RelaxedSubproblem,
-                         refine_max: int = 50) -> LowerBoundSet:
+def lower_bound_frontier(sub: RelaxedSubproblem) -> LowerBoundSet:
     """Full lower bound set of a subproblem's linear relaxation: exact for
-    p == 2, an outer approximation for p >= 3.
+    p == 2, an unrefined outer approximation for p >= 3 (see
+    ``refine_frontier``).
 
     Raises InfeasibleSubproblem when the relaxation is empty.
     """
     if sub.instance.p == 2:
         return _frontier_2d(sub)
-    return _frontier_outer(sub, refine_max=refine_max)
+    return _frontier_outer(sub)

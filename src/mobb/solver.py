@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,14 +53,11 @@ class SolverConfig:
     te_threshold: int = 10
     time_limit: float = 7200.0
     refine_max: int = 50
-    ec_objective: int = 0          # index k minimized in the e-constraint stage 1
-    big_m: int = None
-    enum_cap: int = DEFAULT_ENUM_CAP
     trace: bool = False
     collect_fathomed: bool = False
 
     def __post_init__(self):
-        if self.te_threshold > self.enum_cap:
+        if self.te_threshold > DEFAULT_ENUM_CAP:
             raise ModelError("te_threshold exceeds the enumeration cap")
         if self.slb_level < 1:
             raise ModelError("slb_level must be >= 1")
@@ -196,43 +192,34 @@ def slb_weight(parent_lubs, p: int):
 
 
 class _Queue:
-    """Node queue: stack, FIFO, or max-heap on the frozen gap (ties: newest)."""
+    """Open nodes in one min-heap whose key encodes the selection strategy.
+
+    depth pops the newest node, breadth the oldest, lhg/hsz the largest frozen
+    gap and the newest among equal gaps. The push sequence number makes every
+    key unique, so nodes themselves are never compared.
+    """
 
     def __init__(self, strategy: str):
         self.strategy = strategy
-        self._stack = []
-        self._fifo = deque()
         self._heap = []
         self._seq = 0
 
     def push(self, node: Node):
+        seq = self._seq
+        self._seq += 1
         if self.strategy == SELECT_DEPTH:
-            self._stack.append(node)
+            key = (-seq,)
         elif self.strategy == SELECT_BREADTH:
-            self._fifo.append(node)
+            key = (seq,)
         else:
-            heapq.heappush(self._heap, (-node.gap, -self._seq, node))
-            self._seq += 1
+            key = (-node.gap, -seq)
+        heapq.heappush(self._heap, (key, node))
 
     def pop(self) -> Node:
-        if self.strategy == SELECT_DEPTH:
-            return self._stack.pop()
-        if self.strategy == SELECT_BREADTH:
-            return self._fifo.popleft()
-        return heapq.heappop(self._heap)[2]
+        return heapq.heappop(self._heap)[1]
 
     def __len__(self):
-        if self.strategy == SELECT_DEPTH:
-            return len(self._stack)
-        if self.strategy == SELECT_BREADTH:
-            return len(self._fifo)
         return len(self._heap)
-
-
-def select_node(queue: _Queue, config: SolverConfig) -> Node:
-    if len(queue) == 0:
-        raise ModelError("empty node queue")
-    return queue.pop()
 
 
 class Solver:
@@ -243,7 +230,7 @@ class Solver:
         self.config = config or SolverConfig()
         self.stats = SolveStats()
         p = instance.p
-        self.M = int(self.config.big_m) if self.config.big_m else default_big_m(instance.C)
+        self.M = default_big_m(instance.C)
         self.U = IncumbentList()
         self._images = set()    # the images in U, kept in step by _accept
         self.K = LocalUpperBoundSet(p, self.M)
@@ -301,10 +288,10 @@ class Solver:
         lu = gap_argmax_lub(L, surviving, self.config.measure)
         if lu is None:
             return
-        k = self.config.ec_objective
-        eps = [int(lu[i]) - 1 for i in range(self.instance.p) if i != k]
+        # stage 1 minimizes z_0 under z_i <= lu_i - 1 for the other objectives
+        eps = [int(v) - 1 for v in lu[1:]]
         sub = RelaxedSubproblem(self.instance, {}, list(self.root_cuts))
-        res, n_ips = solve_econstraint(sub, k, eps, self._remaining())
+        res, n_ips = solve_econstraint(sub, 0, eps, self._remaining())
         self.stats.ips += n_ips
         self.stats.ec_iterations.append(iteration)
         if res.status == STATUS_OPTIMAL and res.solution is not None:
@@ -344,8 +331,7 @@ class Solver:
     # -- terminal enumeration ---------------------------------------------
 
     def terminal_enumeration(self, node: Node):
-        sols = enumerate_nondominated(self.instance, node.fixings,
-                                      cap=self.config.enum_cap)
+        sols = enumerate_nondominated(self.instance, node.fixings)
         for sol in sols:
             self._accept(sol)
 
@@ -368,7 +354,7 @@ class Solver:
         free = [j for j in range(inst.n) if j not in node.fixings]
 
         if not free:
-            sols = enumerate_nondominated(inst, node.fixings, cap=cfg.enum_cap)
+            sols = enumerate_nondominated(inst, node.fixings)
             if not sols:
                 self._record_fathom(node, "infeasibility")
                 return "infeasibility"
@@ -399,7 +385,7 @@ class Solver:
             refine_later = inst.p >= 3 and cfg.refine_max > 0
             t0 = time.monotonic()
             try:
-                L = lower_bound_frontier(sub, refine_max=0)
+                L = lower_bound_frontier(sub)
             except InfeasibleSubproblem:
                 self._record_fathom(node, "infeasibility")
                 return "infeasibility"
@@ -477,7 +463,7 @@ class Solver:
                 if time.monotonic() > self._deadline:
                     self.stats.solved = False
                     break
-                node = select_node(queue, cfg)
+                node = queue.pop()
                 iteration += 1
                 self.stats.nodes_explored += 1
                 outcome = self.process_node(node, iteration, queue)

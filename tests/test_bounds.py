@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from mobb.bounds import (IncumbentList, Kind, LocalUpperBoundSet, LowerBoundSet,
                          MEASURE_HSZ, MEASURE_LHG, brute_force_lubs,
-                         default_big_m, dominance_fathom, gap_argmax_lub,
-                         gap_values, hv_box_gap, hv_simplex_gap,
-                         is_strictly_above, local_ideal, node_gap,
-                         spanning_points, surviving_mask, update_incumbents,
-                         update_local_upper_bounds)
+                         default_big_m, gap_argmax_lub, gap_values, hv_box_gap,
+                         hv_simplex_gap, is_strictly_above, local_ideal,
+                         spanning_points, surviving_mask)
 from mobb.model import Solution
 
 
@@ -32,28 +30,33 @@ def sol(image, x=(0,)):
     return Solution(x=tuple(x), image=tuple(image))
 
 
+def surviving(L, K):
+    """The local upper bounds strictly above L, as the solver selects them."""
+    return K.arr[surviving_mask(L, K.arr)]
+
+
 class TestIncumbentList:
     def test_duplicate_rejected(self):
         U = IncumbentList(entries=[sol((2, 9)), sol((6, 7))])
-        U, accepted, removed = update_incumbents(U, sol((6, 7)))
+        accepted, removed = U.update(sol((6, 7)))
         assert not accepted and removed == []
         assert sorted(U.images()) == [(2, 9), (6, 7)]
 
     def test_incomparable_candidate_inserted(self):
         U = IncumbentList(entries=[sol((2, 9)), sol((6, 7))])
-        U, accepted, _ = update_incumbents(U, sol((5, 8)))
+        accepted, _ = U.update(sol((5, 8)))
         assert accepted
         assert sorted(U.images()) == [(2, 9), (5, 8), (6, 7)]
 
     def test_dominating_candidate_sweeps_list(self):
         U = IncumbentList(entries=[sol((2, 9)), sol((6, 7))])
-        U, accepted, removed = update_incumbents(U, sol((1, 1)))
+        accepted, removed = U.update(sol((1, 1)))
         assert accepted and len(removed) == 2
         assert U.images() == [(1, 1)]
 
     def test_dominated_candidate_rejected(self):
         U = IncumbentList(entries=[sol((2, 9))])
-        _, accepted, _ = update_incumbents(U, sol((3, 10)))
+        accepted, _ = U.update(sol((3, 10)))
         assert not accepted
 
 
@@ -62,7 +65,7 @@ class TestLocalUpperBoundSet:
 
     def test_single_split(self):
         K = LocalUpperBoundSet(2, self.M)
-        update_local_upper_bounds(K, (2, 9))
+        K.update((2, 9))
         assert K.as_tuples() == [(2, self.M), (self.M, 9)]
 
     def test_four_point_configuration(self):
@@ -133,22 +136,18 @@ class TestDominanceFathom:
         L = LowerBoundSet(kind=Kind.FULL, hyperplanes=[(np.array([1.0, 1.0]), 10.0)])
         K = LocalUpperBoundSet(2, 100)
         K.arr = np.array([[4, 5]], dtype=np.int64)
-        fathom, surviving = dominance_fathom(L, K)
-        assert fathom and len(surviving) == 0
+        assert len(surviving(L, K)) == 0
 
     def test_survivor_blocks_fathoming(self):
         L = LowerBoundSet(kind=Kind.FULL, hyperplanes=[(np.array([1.0, 1.0]), 10.0)])
         K = LocalUpperBoundSet(2, 100)
         K.arr = np.array([[4, 5], [6, 6]], dtype=np.int64)
-        fathom, surviving = dominance_fathom(L, K)
-        assert not fathom
-        assert [tuple(u) for u in surviving] == [(6, 6)]
+        assert [tuple(u) for u in surviving(L, K)] == [(6, 6)]
 
     def test_root_box_never_fathomed(self):
         L = polyline_bound()
         K = LocalUpperBoundSet(2, 100)
-        fathom, _ = dominance_fathom(L, K)
-        assert not fathom
+        assert len(surviving(L, K)) > 0
 
 
 class TestSpanningPoints:
@@ -199,18 +198,12 @@ class TestGapMeasures:
         K = LocalUpperBoundSet(2, 100)
         K.arr = np.array([[6, 9], [9, 7], [10, 5]], dtype=np.int64)
         # products: 5*8.5=42.5, 8*6.5=52, 9*4.5=40.5
-        assert node_gap(L, K, MEASURE_HSZ) == pytest.approx(52.0)
-
-    def test_node_gap_zero_without_survivors(self):
-        L = LowerBoundSet(kind=Kind.FULL, hyperplanes=[(np.array([1.0, 1.0]), 100.0)])
-        K = LocalUpperBoundSet(2, 30)
-        assert node_gap(L, K, MEASURE_HSZ) == 0.0
-        assert node_gap(L, K, MEASURE_LHG) == 0.0
+        assert gap_values(L, surviving(L, K), MEASURE_HSZ).max() == pytest.approx(52.0)
 
     def test_root_box_gap_is_box_to_ideal(self):
         L = polyline_bound()
         K = LocalUpperBoundSet(2, 100)
-        assert node_gap(L, K, MEASURE_HSZ) == pytest.approx(99 * 99.5)
+        assert gap_values(L, surviving(L, K), MEASURE_HSZ).max() == pytest.approx(99 * 99.5)
 
     def test_gap_values_match_scalar_formulas(self):
         L = polyline_bound()

@@ -105,6 +105,17 @@ class TestOracleCommand:
         assert main(["oracle", str(kp_file), "--fix", "0=0,1=0"]) == 0
         assert "nondominated points:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fix", ["3", "a=1", "0=1,", "0=1=1"])
+    def test_malformed_fixings_are_usage_error(self, kp_file, capsys, fix):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", str(kp_file), "--fix", fix])
+        assert exc.value.code == 2
+        assert "argument --fix" in capsys.readouterr().err
+
+    def test_out_of_range_fixing_is_clean_error(self, kp_file, capsys):
+        assert main(["oracle", str(kp_file), "--fix", "99=1"]) == 2
+        assert "bad fixing" in capsys.readouterr().err
+
     def test_cap_refusal(self, tmp_path, capsys):
         inst = generate(GeneratorSpec(family="KP", p=2, seed=0, items=30))
         path = tmp_path / "big.moip.json"

@@ -175,6 +175,11 @@ class TestFileFormat:
         ("senses", 5, "'senses' must be a list"),
         ("C", [["a", "b", "c", "d"], [1, 2, 3, 4]], "'C'"),
         ("b", 5, "'b' has shape"),
+        ("C", [[1e30, 1, 1, 1], [1, 2, 3, 4]], "'C': coefficient outside the int64 range"),
+        ("C", [[10**30, 1, 1, 1], [1, 2, 3, 4]], "'C': coefficient outside the int64 range"),
+        ("C", [[2**63, 1, 1, 1], [1, 2, 3, 4]], "'C': coefficient outside the int64 range"),
+        ("C", [[-2**63 - 1, 1, 1, 1], [1, 2, 3, 4]], "'C': coefficient outside the int64 range"),
+        ("C", [[10**400, 1, 1, 1], [1, 2, 3, 4]], "'C'"),
     ])
     def test_malformed_field_rejected(self, tmp_path, key, value, match):
         inst = generate(GeneratorSpec(family="KP", p=2, seed=0, items=4))

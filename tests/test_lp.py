@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from mobb.bounds import Kind
 from mobb.lp import (INFEASIBLE, OPTIMAL, InfeasibleSubproblem,
                      RelaxedSubproblem, _greedy_knapsack_lp, _region_vertices,
-                     _simplex, lower_bound_frontier, refine_frontier, solve_lp,
-                     solve_lp_batch)
+                     _simplex, lower_bound_frontier, refine_frontier, solve_lp)
 from mobb.model import Instance
 
 
@@ -87,16 +86,6 @@ class TestSolveLp:
         res = solve_lp(sub, np.array([1.0, 0.0]))
         assert res.value == pytest.approx(1.0)
 
-    def test_batch_agrees_with_single_solves(self):
-        inst = random_instance(5, p=3, n=6)
-        sub = RelaxedSubproblem(inst, fixings={0: 1})
-        Cs = np.vstack([inst.C.astype(float), np.ones((1, inst.n))])
-        batch = solve_lp_batch(sub, Cs)
-        for c, res in zip(Cs, batch):
-            single = solve_lp(RelaxedSubproblem(inst, fixings={0: 1}), c)
-            assert res.status == single.status
-            assert res.value == pytest.approx(single.value, abs=1e-7)
-
 
 class TestGreedyKnapsackLp:
     @settings(max_examples=80, deadline=None)
@@ -159,14 +148,14 @@ class TestFrontier2d:
 class TestFrontierOuter:
     def test_zero_refinement_has_p_plus_one_hyperplanes(self):
         inst = random_instance(3, p=3, n=6)
-        L = lower_bound_frontier(RelaxedSubproblem(inst), refine_max=0)
+        L = lower_bound_frontier(RelaxedSubproblem(inst))
         assert len(L.hyperplanes) == 4
         assert L.facet_offsets is not None and len(L.facet_offsets) == 3
 
     def test_refinement_only_adds_planes(self):
         inst = random_instance(4, p=3, n=7)
         sub = RelaxedSubproblem(inst)
-        L0 = lower_bound_frontier(sub, refine_max=0)
+        L0 = lower_bound_frontier(sub)
         L1 = refine_frontier(RelaxedSubproblem(inst), L0, refine_max=20)
         assert len(L1.hyperplanes) >= len(L0.hyperplanes)
         assert list(L1.facet_offsets) == list(L0.facet_offsets)
@@ -177,7 +166,7 @@ class TestFrontierOuter:
         inst = random_instance(seed, p=p, n=6)
         sub = RelaxedSubproblem(inst)
         try:
-            L = lower_bound_frontier(sub, refine_max=25)
+            L = refine_frontier(sub, lower_bound_frontier(sub), 25)
         except InfeasibleSubproblem:
             return
         from mobb.model import enumerate_nondominated

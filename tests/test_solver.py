@@ -1,6 +1,7 @@
 """Tests for the branch-and-bound driver and its adaptive components."""
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from mobb.bounds import Kind, LowerBoundSet
 from mobb.instances import GeneratorSpec, generate
 from mobb.model import Instance, ModelError, enumerate_nondominated
-from mobb.solver import (SolverConfig, Solver, add_level_cut,
+from mobb.solver import (Node, SolverConfig, Solver, _Queue, add_level_cut,
                          choose_branch_variable, prune_redundant_cuts,
                          slb_weight, solve, sum_of_ratios_variable)
 
@@ -68,6 +69,50 @@ class TestSolveAgainstOracle:
         inst = generate(GeneratorSpec(family="KP", p=2, seed=11, items=10))
         _, _, stats = solve(inst, SolverConfig())
         assert sum(stats.fathomed.values()) + stats.branched == stats.nodes_explored
+
+
+class TestQueue:
+    # gaps are ignored by depth and breadth
+    GAPS = [1.0, 5.0, math.inf, 5.0, 2.0, 5.0]
+
+    @staticmethod
+    def drain(strategy, gaps):
+        queue = _Queue(strategy)
+        for i, gap in enumerate(gaps):
+            queue.push(Node(id=i, parent=-1, depth=0, fixings={}, gap=gap, cuts=[]))
+        order = []
+        while len(queue):
+            order.append(queue.pop().id)
+        return order
+
+    def test_depth_pops_newest_first(self):
+        assert self.drain("depth", self.GAPS) == [5, 4, 3, 2, 1, 0]
+
+    def test_breadth_pops_oldest_first(self):
+        assert self.drain("breadth", self.GAPS) == [0, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("strategy", ["lhg", "hsz"])
+    def test_gap_strategies_pop_largest_gap_then_newest(self, strategy):
+        assert self.drain(strategy, self.GAPS) == [2, 5, 3, 1, 4, 0]
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_equal_keys_never_compare_nodes(self, strategy):
+        # Node defines no ordering: comparing two would raise TypeError
+        order = self.drain(strategy, [0.0] * 50)
+        assert sorted(order) == list(range(50))
+        assert order == (list(range(50)) if strategy == "breadth"
+                         else list(range(49, -1, -1)))
+
+    def test_pops_interleave_with_pushes(self):
+        queue = _Queue("depth")
+        nodes = [Node(id=i, parent=-1, depth=0, fixings={}, gap=0.0, cuts=[])
+                 for i in range(3)]
+        queue.push(nodes[0])
+        queue.push(nodes[1])
+        assert queue.pop() is nodes[1]
+        queue.push(nodes[2])
+        assert [queue.pop(), queue.pop()] == [nodes[2], nodes[0]]
+        assert len(queue) == 0
 
 
 class TestLevelCut:
@@ -229,7 +274,7 @@ class TestSchedules:
 class TestConfigValidation:
     def test_te_threshold_above_cap_rejected(self):
         with pytest.raises(ModelError):
-            SolverConfig(te_threshold=30, enum_cap=25)
+            SolverConfig(te_threshold=30)
 
     def test_bad_strategy_rejected(self):
         with pytest.raises(ModelError):

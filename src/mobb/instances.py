@@ -235,21 +235,43 @@ class ParseError(ValueError):
     """Malformed instance file."""
 
 
+class _FloatLiteral(str):
+    """A JSON number with a fraction or an exponent, as written: as float64,
+    integers beyond 2**53 would lose their low bits."""
+
+
+def _exact_int(value, field_name) -> int:
+    """One coefficient as a Python int, or ParseError if it is not integral."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, _FloatLiteral):
+        from decimal import Decimal     # only files with such literals pay for it
+        exact = Decimal(value)
+        if exact.adjusted() >= 19:      # beyond int64; int() of 1e999999999 never ends
+            raise ParseError(f"field {field_name!r}: coefficient outside the int64 range")
+        if exact != int(exact):
+            raise ParseError(f"field {field_name!r}: non-integer coefficient")
+        return int(exact)
+    if isinstance(value, float):
+        if not value.is_integer():      # also nan and inf
+            raise ParseError(f"field {field_name!r}: non-integer coefficient")
+        return int(value)
+    raise ParseError(f"field {field_name!r}: non-numeric coefficient {value!r}")
+
+
 def _require_int_matrix(value, field_name):
     try:
         arr = np.asarray(value)
-        # floats, and integers numpy could not hold as int64 (uint64, object)
-        if arr.size and not np.issubdtype(arr.dtype, np.signedinteger):
-            flat = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"field {field_name!r}: {exc}") from None
     if arr.size and not np.issubdtype(arr.dtype, np.signedinteger):
-        if np.any(flat != np.rint(flat)):
-            raise ParseError(f"field {field_name!r}: non-integer coefficient")
-        # as floats, ints just below -2**63 round to it, so it is refused too
-        if np.any(np.abs(flat) >= 2.0**63):
+        # entry by entry: as one array, a float among the entries would turn
+        # every integer into float64 and drop the low bits of those beyond 2**53
+        entries = np.asarray(value, dtype=object).ravel()
+        ints = [_exact_int(v, field_name) for v in entries]
+        if any(not -2**63 <= v < 2**63 for v in ints):
             raise ParseError(f"field {field_name!r}: coefficient outside the int64 range")
-        arr = np.rint(flat)
+        return np.array(ints, dtype=np.int64).reshape(arr.shape)
     return arr.astype(np.int64)
 
 
@@ -263,7 +285,7 @@ def _require_int(doc, key, path) -> int:
 def read_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_FloatLiteral)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):

@@ -355,6 +355,7 @@ def _frontier_2d(sub: RelaxedSubproblem) -> LowerBoundSet:
         points.append(yR)
         sols.append(xR)
         stack = [(yL, yR)]
+        seen = {tuple(np.round(yL, 7)), tuple(np.round(yR, 7))}
         while stack:
             ya, yb = stack.pop()
             lam = np.array([ya[1] - yb[1], yb[0] - ya[0]])
@@ -365,6 +366,13 @@ def _frontier_2d(sub: RelaxedSubproblem) -> LowerBoundSet:
             hyperplanes.append((lam, res.value))
             if res.value < float(lam @ ya) - FLOAT_TOL:
                 yc = inst.C @ res.x
+                key = tuple(np.round(yc, 7))
+                if key in seen:
+                    # a point found before: at objective values of 2**52 and
+                    # more, float64 rounding fakes the improvement, and
+                    # splitting again would never end
+                    continue
+                seen.add(key)
                 points.append(yc)
                 sols.append(res.x)
                 stack.append((ya, yc))
@@ -382,24 +390,98 @@ def _p_subsets(h, p):
     return np.asarray(list(itertools.combinations(range(h), p)))
 
 
+def _feasible_subsets(normals, rhs, combos):
+    """The rows of ``combos`` (p-subsets of plane indices) whose planes meet in
+    one point of {y : lam.y >= rhs for all planes}, and those points."""
+    Ms = normals[combos]
+    good = np.abs(np.linalg.det(Ms)) > 1e-9
+    if not good.any():
+        return combos[:0], np.empty((0, normals.shape[1]))
+    combos = combos[good]
+    verts = np.linalg.solve(Ms[good], rhs[combos][..., None])[..., 0]
+    feas = np.all(verts @ normals.T >= rhs[None, :] - 1e-6, axis=1)
+    return combos[feas], verts[feas]
+
+
+def _distinct(verts):
+    """``verts`` without repeats at 7 decimals, first occurrences in order."""
+    if not len(verts):
+        return verts
+    _, idx = np.unique(np.round(verts, 7), axis=0, return_index=True)
+    return verts[np.sort(idx)]
+
+
 def _region_vertices(normals, rhs, p):
     """Vertices of {y : lam.y >= rhs for all planes} via p-subset intersection."""
     h = len(rhs)
     if h < p:
         return np.empty((0, p))
-    combos = _p_subsets(h, p)
-    Ms = normals[combos]
-    good = np.abs(np.linalg.det(Ms)) > 1e-9
-    if not good.any():
-        return np.empty((0, p))
-    verts = np.linalg.solve(Ms[good], rhs[combos[good]][..., None])[..., 0]
-    feas = np.all(verts @ normals.T >= rhs[None, :] - 1e-6, axis=1)
-    verts = verts[feas]
-    if not len(verts):
-        return verts
-    rounded = np.round(verts, 7)
-    _, idx = np.unique(rounded, axis=0, return_index=True)
-    return verts[np.sort(idx)]
+    return _distinct(_feasible_subsets(normals, rhs, _p_subsets(h, p))[1])
+
+
+class _OuterRegion:
+    """The vertices of {y : lam.y >= rhs for all planes}, kept up to date as
+    planes are appended (the double description method: Motzkin et al. 1953;
+    Fukuda & Prodon 1996).
+
+    Rows pair a feasible p-subset of plane indices with the point its planes
+    meet in. Appending a plane drops the rows it cuts off and solves, for every
+    cut vertex, each (p-1)-subset of the planes active there together with the
+    new plane. That finds every new vertex provided each appended normal is a
+    nonnegative combination of the existing ones, as in ``refine_frontier``:
+    then every recession direction of the region stays inside the new
+    halfspace, so each new vertex lies on an edge (or ray) through a cut
+    vertex, and the edges of a degenerate vertex lie in (p-1)-subsets of its
+    active planes, not only in the faces of its one stored subset.
+    """
+
+    def __init__(self, normals, rhs, p):
+        self.normals = np.asarray(normals, dtype=float)
+        self.rhs = np.asarray(rhs, dtype=float)
+        self.p = p
+        if len(self.rhs) < p:
+            self.subsets = np.empty((0, p), dtype=np.int64)
+            self.points = np.empty((0, p))
+        else:
+            self.subsets, self.points = _feasible_subsets(
+                self.normals, self.rhs, _p_subsets(len(self.rhs), p))
+
+    def vertices(self):
+        """The distinct vertices, ordered and valued as ``_region_vertices``
+        returns them for the same planes."""
+        order = np.lexsort(self.subsets.T[::-1])
+        return _distinct(self.points[order])
+
+    def add(self, planes):
+        """Append the planes lam.y >= r of ``planes`` [(lam, r)], in order."""
+        h = len(self.rhs)
+        self.normals = np.vstack([self.normals] + [lam for lam, _ in planes])
+        self.rhs = np.append(self.rhs, [r for _, r in planes])
+        for a in range(h, len(self.rhs)):
+            self._cut(a)
+
+    def _cut(self, a):
+        """Update the rows for plane ``a``, given rows valid for planes < a."""
+        normals, rhs = self.normals[:a + 1], self.rhs[:a + 1]
+        cut = self.points @ normals[a] < rhs[a] - 1e-6
+        if not cut.any():
+            return
+        active = np.abs(self.points[cut] @ normals[:a].T - rhs[:a]) <= 1e-6
+        # each distinct active set once: many rows can share a degenerate vertex
+        cols = np.nonzero(active)[1].tolist()
+        sets, start = set(), 0
+        for count in active.sum(axis=1).tolist():
+            sets.add(tuple(cols[start:start + count]))
+            start += count
+        faces = {face + (a,) for s in sets
+                 for face in itertools.combinations(s, self.p - 1)}
+        keep = ~cut
+        self.subsets = self.subsets[keep]
+        self.points = self.points[keep]
+        if faces:
+            subsets, points = _feasible_subsets(normals, rhs, np.array(list(faces)))
+            self.subsets = np.vstack([self.subsets, subsets])
+            self.points = np.vstack([self.points, points])
 
 
 def _frontier_outer(sub: RelaxedSubproblem) -> LowerBoundSet:
@@ -469,13 +551,14 @@ def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
     solves = 0
     supported = set()
     plane_keys = {tuple(np.round(lam, 9)) for lam, _ in hyperplanes}
-    while solves < refine_max:
-        normals = np.asarray([lam for lam, _ in hyperplanes])
-        rhs = np.asarray([r for _, r in hyperplanes])
-        verts = _region_vertices(normals, rhs, p)
+    region = _OuterRegion([lam for lam, _ in hyperplanes],
+                          [r for _, r in hyperplanes], p)
+    while True:
+        verts = region.vertices()
         if not len(verts):
             break
-        slack = np.abs(verts @ normals.T - rhs[None, :])
+        normals = region.normals
+        slack = np.abs(verts @ normals.T - region.rhs[None, :])
         vert_keys = [tuple(row) for row in np.round(verts, 7)]
         pending = {}
         for i, v in enumerate(verts):
@@ -500,11 +583,15 @@ def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
                 break
         if not pending:
             break
-        for lam_key, (lam, res) in pending.items():
-            plane_keys.add(lam_key)
-            hyperplanes.append((lam, res.value))
+        new_planes = [(lam, res.value) for lam, res in pending.values()]
+        hyperplanes.extend(new_planes)
+        plane_keys.update(pending)
+        for lam, res in pending.values():
             points.append(inst.C @ res.x)
             sols.append(res.x)
+        if solves >= refine_max:
+            break
+        region.add(new_planes)
     points, sols = _dedupe_points(points, sols)
     return LowerBoundSet(kind=Kind.FULL, hyperplanes=hyperplanes,
                          extreme_points=points, extreme_solutions=sols,

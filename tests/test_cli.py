@@ -4,10 +4,13 @@ import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mobb.cli import (APPROACHES, BENCH_HEADER, PROFILE_HEADER,
                       approach_config, main, profile_rows, run_bench)
-from mobb.instances import GeneratorSpec, generate, write_instance
+from mobb.instances import (GeneratorSpec, ParseError, generate, read_instance,
+                            write_instance)
 from mobb.model import ModelError
 
 
@@ -243,3 +246,57 @@ class TestRunBench:
             assert len(row) == len(BENCH_HEADER)
         assert [r[1] for r in rows[:-1]] != []
         assert rows[-1][1] == "aggregate"
+
+
+_KEYS = ("problem", "p", "n", "m", "C", "A", "b", "senses", "name")
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+                     st.floats(), st.text(max_size=4))
+_VALUES = st.recursive(
+    _SCALARS, lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3), max_leaves=8)
+_COEFFICIENTS = st.one_of(
+    st.integers(-2**70, 2**70), st.sampled_from([2**53 + 1, 2**63 - 1, -2**63]),
+    st.floats(),
+    st.floats(-1e20, 1e20).map(lambda v: float(int(v))),   # integral floats
+    st.lists(st.integers(-9, 9), max_size=2))
+
+
+def _mutate(doc, data):
+    """One random edit of an instance document, in place."""
+    op = data.draw(st.sampled_from(["replace", "delete", "extra", "entry", "nest"]))
+    key = data.draw(st.sampled_from(_KEYS))
+    if op == "replace":
+        doc[key] = data.draw(_VALUES)
+    elif op == "delete":
+        doc.pop(key, None)
+    elif op == "extra":
+        doc[data.draw(st.text(min_size=1, max_size=6))] = data.draw(_VALUES)
+    elif op == "nest":
+        doc[key] = [doc[key]] if key in doc else []
+    else:
+        field = data.draw(st.sampled_from(["C", "A", "b"]))
+        target = doc.get(field)
+        while isinstance(target, list) and target and isinstance(target[0], list):
+            target = target[data.draw(st.integers(0, len(target) - 1))]
+        if isinstance(target, list) and target:
+            target[data.draw(st.integers(0, len(target) - 1))] = data.draw(_COEFFICIENTS)
+
+
+class TestInputFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_document_parses_or_is_clean_error(self, tmp_path, capsys, data):
+        inst = generate(GeneratorSpec(family="KP", p=2, seed=0, items=4))
+        path = tmp_path / "fuzz.moip.json"
+        write_instance(inst, path)
+        doc = json.loads(path.read_text())
+        for _ in range(data.draw(st.integers(1, 3))):
+            _mutate(doc, data)
+        path.write_text(json.dumps(doc))
+        try:
+            read_instance(path)
+        except ParseError:
+            pass
+        assert main(["solve", str(path)]) in (0, 2)
+        capsys.readouterr()

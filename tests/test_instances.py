@@ -191,6 +191,37 @@ class TestFileFormat:
         with pytest.raises(ParseError, match=match):
             read_instance(path)
 
+    @staticmethod
+    def _write_with_C(tmp_path, text):
+        """An instance file whose 'C' field is the JSON text ``text``."""
+        inst = generate(GeneratorSpec(family="KP", p=2, seed=0, items=4))
+        path = tmp_path / "c.json"
+        write_instance(inst, path)
+        doc = json.loads(path.read_text())
+        doc["C"] = "PLACEHOLDER"
+        path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', text))
+        return path
+
+    @pytest.mark.parametrize("text", [
+        # one float makes numpy hold the whole list as float64
+        '[[9007199254740993, 1.0, 1, 1], [1, 2, 3, 4]]',
+        # a float literal beyond 2**53 is read as written
+        '[[9007199254740993.0, 1, 1, 1], [1, 2, 3, 4]]',
+    ])
+    def test_large_coefficients_read_exactly(self, tmp_path, text):
+        back = read_instance(self._write_with_C(tmp_path, text))
+        assert int(back.C[0, 0]) == 9007199254740993
+        assert back.C[1].tolist() == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("text, match", [
+        # float64 reads this literal as exactly 3
+        ('[[3.0000000000000001, 1, 1, 1], [1, 2, 3, 4]]', "'C': non-integer"),
+        ('[[1e999999999, 1, 1, 1], [1, 2, 3, 4]]', "'C': coefficient outside the int64"),
+    ])
+    def test_float_literal_checked_as_written(self, tmp_path, text, match):
+        with pytest.raises(ParseError, match=match):
+            read_instance(self._write_with_C(tmp_path, text))
+
     def test_top_level_array_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(["problem", "p", "n", "m", "C", "A", "b",

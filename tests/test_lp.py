@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobb.bounds import Kind
-from mobb.lp import (INFEASIBLE, OPTIMAL, InfeasibleSubproblem,
-                     RelaxedSubproblem, _greedy_knapsack_lp, _region_vertices,
-                     _simplex, lower_bound_frontier, refine_frontier, solve_lp)
+from mobb.bounds import Kind, LowerBoundSet
+from mobb.instances import GeneratorSpec, generate
+from mobb.lp import (_FACET_TOL, INFEASIBLE, OPTIMAL, InfeasibleSubproblem,
+                     RelaxedSubproblem, _dedupe_points, _greedy_knapsack_lp,
+                     _normalize, _OuterRegion, _region_vertices, _simplex,
+                     lower_bound_frontier, refine_frontier, solve_lp)
 from mobb.model import Instance
 
 
@@ -129,6 +131,29 @@ class TestFrontier2d:
         with pytest.raises(InfeasibleSubproblem):
             lower_bound_frontier(RelaxedSubproblem(inst))
 
+    @pytest.mark.parametrize("big", [2**52, 23243471785408570])
+    def test_huge_objective_values_terminate(self, monkeypatch, big):
+        # float64 rounding once made the dichotomic search find the same
+        # point again and again; the LP budget turns that hang into a failure
+        import mobb.lp
+        from mobb.model import enumerate_nondominated
+        from mobb.solver import solve
+        calls = []
+
+        def counted(sub, c):
+            calls.append(1)
+            assert len(calls) < 2000, "dichotomic search does not terminate"
+            return solve_lp(sub, c)
+
+        monkeypatch.setattr(mobb.lp, "solve_lp", counted)
+        inst = Instance(C=[[1, -64, -big, -27], [-31, -5, -8, -2]],
+                        A=[[9, 41, 33, 46]], b=[64], senses=("le",))
+        points, _, stats = solve(inst)
+        assert stats.solved
+        assert (sorted(tuple(int(v) for v in y) for y in points)
+                == sorted(tuple(int(v) for v in s.image)
+                          for s in enumerate_nondominated(inst)))
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
     def test_hyperplanes_valid_for_all_feasible_points(self, seed):
@@ -186,3 +211,189 @@ class TestRegionVertices:
 
     def test_too_few_planes(self):
         assert len(_region_vertices(np.ones((2, 3)), np.ones(2), 3)) == 0
+
+
+def _unit_planes(p, rng):
+    """The planes of an unrefined outer approximation: augmented unit weights
+    and the all-ones weight, with random right-hand sides."""
+    normals = [_normalize(np.where(np.arange(p) == k, 1.0, 1e-3)) for k in range(p)]
+    normals.append(_normalize(np.ones(p)))
+    return np.asarray(normals), rng.uniform(-20.0, 0.0, p + 1)
+
+
+def _refinement_planes(region, rng, count):
+    """Planes as ``refine_frontier`` appends them: the normalized sum of the
+    normals active at a current vertex, cutting that vertex off."""
+    verts = region.vertices()
+    planes = []
+    for i in rng.choice(len(verts), min(count, len(verts)), replace=False):
+        v = verts[i]
+        active = np.abs(region.normals @ v - region.rhs) <= 1e-6
+        lam = _normalize(region.normals[active].sum(axis=0))
+        planes.append((lam, float(lam @ v) + rng.uniform(0.05, 3.0)))
+    return planes
+
+
+def _planes_through_one_point(region, rng, count):
+    """Refinement normals from several vertices, all through one vertex of the
+    region, which none of them cuts off: it becomes a degenerate vertex whose
+    stored subsets do not hold every plane active there."""
+    verts = region.vertices()
+    q = verts[rng.integers(len(verts))]
+    planes = []
+    for v in verts[rng.permutation(len(verts))[:count]]:
+        active = np.abs(region.normals @ v - region.rhs) <= 1e-6
+        lam = _normalize(region.normals[active].sum(axis=0))
+        if float(lam @ v) < float(lam @ q) - 1e-3:
+            planes.append((lam, float(lam @ q)))
+    return planes
+
+
+def _assert_same_vertices(got, ref, normals, rhs, p):
+    if len(ref) == 0 or len(got) == 0:
+        assert len(ref) == len(got)
+        return
+    dist = np.linalg.norm(ref[:, None, :] - got[None, :, :], axis=2)
+    assert dist.min(axis=1).max() <= 1e-4     # no oracle vertex is missing
+    assert dist.min(axis=0).max() <= 1e-4     # and none is made up
+    active = np.abs(ref @ normals.T - rhs) <= 1e-6
+    if np.all(active.sum(axis=1) == p):       # non-degenerate: one subset each
+        assert np.array_equal(got, ref)
+
+
+class TestOuterRegion:
+    """The incremental vertex set against from-scratch enumeration."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(3, 4))
+    def test_matches_region_vertices_after_every_append(self, seed, p):
+        rng = np.random.default_rng(seed)
+        normals, rhs = _unit_planes(p, rng)
+        region = _OuterRegion(normals, rhs, p)
+        for step in range(6):
+            if step % 3 == 2:
+                planes = _planes_through_one_point(region, rng, p + 1)
+            else:
+                planes = _refinement_planes(region, rng, int(rng.integers(1, 4)))
+            for plane in planes:                  # one plane at a time ...
+                region.add([plane])
+                _assert_same_vertices(
+                    region.vertices(),
+                    _region_vertices(region.normals, region.rhs, p),
+                    region.normals, region.rhs, p)
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_cut_degenerate_vertex_opens_every_edge(self, p):
+        # p + 1 planes through one point make it a vertex with more active
+        # planes than its stored subset; a plane that cuts it must find the
+        # new vertices on every edge through it
+        rng = np.random.default_rng(p)
+        normals, rhs = _unit_planes(p, rng)
+        region = _OuterRegion(normals, rhs, p)
+        for seed in range(4):
+            region.add(_planes_through_one_point(region, np.random.default_rng(seed), 3 * p))
+            region.add(_refinement_planes(region, rng, 3))
+            _assert_same_vertices(region.vertices(),
+                                  _region_vertices(region.normals, region.rhs, p),
+                                  region.normals, region.rhs, p)
+
+    def test_starts_from_region_vertices(self):
+        normals, rhs = _unit_planes(3, np.random.default_rng(0))
+        region = _OuterRegion(normals, rhs, 3)
+        assert np.array_equal(region.vertices(), _region_vertices(normals, rhs, 3))
+        assert len(_OuterRegion(normals[:2], rhs[:2], 3).vertices()) == 0
+
+
+def _refine_from_scratch(sub, L, refine_max):
+    """``refine_frontier`` with the region's vertices enumerated from all
+    p-subsets of its planes in every round (the reference)."""
+    inst = sub.instance
+    p = inst.p
+    if refine_max <= 0 or L.kind != Kind.FULL or p == 2:
+        return L
+    hyperplanes = list(L.hyperplanes)
+    points = list(L.extreme_points)
+    sols = list(L.extreme_solutions)
+    cache = {}
+
+    def weighted(lam):
+        key = tuple(np.round(lam, 9))
+        if key not in cache:
+            cache[key] = solve_lp(sub, lam @ inst.C)
+        return cache[key]
+
+    solves = 0
+    supported = set()
+    plane_keys = {tuple(np.round(lam, 9)) for lam, _ in hyperplanes}
+    while solves < refine_max:
+        normals = np.asarray([lam for lam, _ in hyperplanes])
+        rhs = np.asarray([r for _, r in hyperplanes])
+        verts = _region_vertices(normals, rhs, p)
+        if not len(verts):
+            break
+        slack = np.abs(verts @ normals.T - rhs[None, :])
+        pending = {}
+        for i, v in enumerate(verts):
+            key = tuple(np.round(v, 7))
+            if key in supported:
+                continue
+            active = slack[i] <= 1e-6
+            if not active.any():
+                continue
+            lam = _normalize(normals[active].sum(axis=0))
+            lam_key = tuple(np.round(lam, 9))
+            if lam_key in plane_keys:
+                supported.add(key)
+                continue
+            res = weighted(lam)
+            solves += 1
+            if res.value > float(lam @ v) + _FACET_TOL:
+                pending.setdefault(lam_key, (lam, res))
+            else:
+                supported.add(key)
+            if solves >= refine_max:
+                break
+        if not pending:
+            break
+        for lam_key, (lam, res) in pending.items():
+            plane_keys.add(lam_key)
+            hyperplanes.append((lam, res.value))
+            points.append(inst.C @ res.x)
+            sols.append(res.x)
+    points, sols = _dedupe_points(points, sols)
+    return LowerBoundSet(kind=Kind.FULL, hyperplanes=hyperplanes,
+                         extreme_points=points, extreme_solutions=sols,
+                         facet_offsets=L.facet_offsets)
+
+
+_REFINE_SPECS = [
+    GeneratorSpec(family="KP", p=3, seed=4, items=12),
+    GeneratorSpec(family="GAP", p=3, seed=1, agents=3, jobs=4),
+    GeneratorSpec(family="UFLP", p=3, seed=1, facilities=3, customers=3),
+    GeneratorSpec(family="KP", p=4, seed=2, items=10),
+]
+
+
+class TestRefinementEquivalence:
+    @pytest.mark.parametrize("spec", _REFINE_SPECS, ids=lambda s: f"{s.family}-p{s.p}")
+    @pytest.mark.parametrize("refine_max", [5, 50])
+    def test_same_bound_as_from_scratch_enumeration(self, spec, refine_max):
+        inst = generate(spec)
+        for fixings in ({}, {0: 1}, {1: 0, 2: 1}):
+            sub = RelaxedSubproblem(inst, fixings)
+            try:
+                L0 = lower_bound_frontier(sub)
+            except InfeasibleSubproblem:
+                continue
+            got = refine_frontier(sub, L0, refine_max)
+            # the same LP history, so warm starts take the same pivots
+            twin = RelaxedSubproblem(inst, fixings)
+            ref = _refine_from_scratch(twin, lower_bound_frontier(twin), refine_max)
+            assert len(got.hyperplanes) == len(ref.hyperplanes)
+            for (lam, r), (lam_ref, r_ref) in zip(got.hyperplanes, ref.hyperplanes):
+                assert np.array_equal(lam, lam_ref) and r == r_ref
+            assert len(got.extreme_points) == len(ref.extreme_points)
+            for y, y_ref in zip(got.extreme_points, ref.extreme_points):
+                assert np.array_equal(y, y_ref)
+            for x, x_ref in zip(got.extreme_solutions, ref.extreme_solutions):
+                assert np.array_equal(x, x_ref)

@@ -10,11 +10,6 @@ import numpy as np
 from .model import FLOAT_TOL, ModelError, Solution, weakly_dominates
 
 
-class Kind:
-    FULL = "full"
-    SIMPLE = "simple"
-
-
 @dataclass
 class LowerBoundSet:
     """Polyhedral outer approximation of a subproblem's nondominated frontier.
@@ -22,11 +17,11 @@ class LowerBoundSet:
     ``hyperplanes`` is a list of (lambda, rhs) pairs with lambda >= 0, each a
     valid inequality lambda . y >= rhs for every feasible image of the
     subproblem. ``facet_offsets`` are valid componentwise lower bounds (the
-    axis-parallel extreme facets). The simple kind carries one level-set
-    hyperplane plus the facets inherited from its parent node.
+    axis-parallel extreme facets). A simple bound carries one level-set
+    hyperplane plus the facets inherited from its parent node, and no extreme
+    points.
     """
 
-    kind: str
     hyperplanes: list            # [(np.ndarray lam, float rhs)]
     extreme_points: list = field(default_factory=list)     # np.ndarray images
     extreme_solutions: list = field(default_factory=list)  # aligned full x vectors

@@ -58,7 +58,7 @@ def solve_single_objective(sub: RelaxedSubproblem, c, time_limit: float = math.i
 
     best_val = math.inf
     best_x = None
-    heap = []
+    heap = []     # (LP bound, seq, fixings, branching variable)
     seq = 0
 
     def push(node_sub, res):
@@ -72,14 +72,15 @@ def solve_single_objective(sub: RelaxedSubproblem, c, time_limit: float = math.i
                 best_val = val
                 best_x = tuple(int(v) for v in xr)
             return
-        heapq.heappush(heap, (res.value, seq, node_sub, j))
+        # the fixings, not the subproblem: its tableau is not needed again
+        heapq.heappush(heap, (res.value, seq, node_sub.fixings, j))
         seq += 1
 
     push(sub, root)
     global_bound = root.value
     expanded = 0
     while heap:
-        bound, _, node_sub, j = heap[0]
+        bound, _, fixings, j = heap[0]
         global_bound = bound
         if bound >= best_val - 1e-9:
             return ScalarResult(status=STATUS_OPTIMAL, solution=best_x,
@@ -91,7 +92,8 @@ def solve_single_objective(sub: RelaxedSubproblem, c, time_limit: float = math.i
         expanded += 1
         heapq.heappop(heap)
         for v in (0, 1):
-            child = node_sub.with_fixing(j, v)
+            child = RelaxedSubproblem(sub.instance, {**fixings, j: v},
+                                      list(sub.cut_rows))
             res = solve_lp(child, c)
             if res.status == OPTIMAL and res.value < best_val - 1e-9:
                 push(child, res)

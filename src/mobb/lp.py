@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import Kind, LowerBoundSet
+from .bounds import LowerBoundSet
 from .model import FLOAT_TOL, Instance, ModelError
 
 OPTIMAL = "optimal"
@@ -47,11 +47,6 @@ class RelaxedSubproblem:
     instance: Instance
     fixings: dict = field(default_factory=dict)
     cut_rows: list = field(default_factory=list)       # [(np.ndarray a, rhs)]
-
-    def with_fixing(self, j: int, v: int) -> "RelaxedSubproblem":
-        fx = dict(self.fixings)
-        fx[j] = v
-        return RelaxedSubproblem(self.instance, fx, list(self.cut_rows))
 
     def free_vars(self):
         return [j for j in range(self.instance.n) if j not in self.fixings]
@@ -380,7 +375,7 @@ def _frontier_2d(sub: RelaxedSubproblem) -> LowerBoundSet:
     order = np.lexsort((np.asarray(points)[:, 1], np.asarray(points)[:, 0]))
     points = [points[i] for i in order]
     sols = [sols[i] for i in order]
-    return LowerBoundSet(kind=Kind.FULL, hyperplanes=hyperplanes,
+    return LowerBoundSet(hyperplanes=hyperplanes,
                          extreme_points=points, extreme_solutions=sols,
                          facet_offsets=np.array([v1, v2]))
 
@@ -510,7 +505,7 @@ def _frontier_outer(sub: RelaxedSubproblem) -> LowerBoundSet:
     # valid axis facets from pure per-objective minima
     offsets = np.array([r.value for r in results[len(weights):]])
     points, sols = _dedupe_points(points, sols)
-    return LowerBoundSet(kind=Kind.FULL, hyperplanes=hyperplanes,
+    return LowerBoundSet(hyperplanes=hyperplanes,
                          extreme_points=points, extreme_solutions=sols,
                          facet_offsets=offsets)
 
@@ -525,8 +520,8 @@ def _dedupe_points(points, sols):
 
 def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
                     refine_max: int) -> LowerBoundSet:
-    """Outer-approximation refinement of a full bound set, with at most
-    ``refine_max`` LP solves.
+    """Outer-approximation refinement of a bound set from
+    ``lower_bound_frontier``, with at most ``refine_max`` LP solves.
 
     Vertices of the outer region that a fresh supporting hyperplane cuts off
     are removed in rounds. Stopping early keeps the bound valid, only weaker.
@@ -535,7 +530,7 @@ def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
     """
     inst = sub.instance
     p = inst.p
-    if refine_max <= 0 or L.kind != Kind.FULL or p == 2:
+    if refine_max <= 0 or p == 2:
         return L
     hyperplanes = list(L.hyperplanes)
     points = list(L.extreme_points)
@@ -593,7 +588,7 @@ def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
             break
         region.add(new_planes)
     points, sols = _dedupe_points(points, sols)
-    return LowerBoundSet(kind=Kind.FULL, hyperplanes=hyperplanes,
+    return LowerBoundSet(hyperplanes=hyperplanes,
                          extreme_points=points, extreme_solutions=sols,
                          facet_offsets=L.facet_offsets)
 

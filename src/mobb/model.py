@@ -60,6 +60,12 @@ class Instance:
         for s in senses:
             if s not in _SENSES:
                 raise ModelError(f"unknown sense {s!r}")
+        # absolute row sums below 2**62 keep C x, A x and the big-M derived
+        # from C inside int64; summed as floats, since abs(-2**63) wraps
+        for name, rows in (("C", C), ("A", A), ("b", b[:, None])):
+            if np.abs(rows.astype(float)).sum(axis=1).max() >= 2.0 ** 62:
+                raise ModelError(f"'{name}': coefficients too large "
+                                 "(an absolute row sum reaches 2**62)")
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)

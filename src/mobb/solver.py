@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (IncumbentList, Kind, LocalUpperBoundSet, LowerBoundSet,
+from .bounds import (IncumbentList, LocalUpperBoundSet, LowerBoundSet,
                      MEASURE_HSZ, MEASURE_LHG, default_big_m, gap_argmax_lub,
                      gap_values, local_ideal, surviving_mask)
 from .ipsolve import (STATUS_INFEASIBLE, STATUS_NO_SOLUTION_TIMEOUT,
@@ -93,10 +93,9 @@ class SolveStats:
     ips: int = 0
     wall_time: float = 0.0
     fathomed: dict = field(default_factory=lambda: {
-        "infeasibility": 0, "optimality": 0, "dominance": 0, "enumeration": 0})
+        "infeasibility": 0, "dominance": 0, "enumeration": 0})
     branched: int = 0
     solved: bool = False
-    root_lb_time: float = 0.0
     ec_iterations: list = field(default_factory=list)
     slb_depths: list = field(default_factory=list)     # (iteration, depth)
     te_iterations: list = field(default_factory=list)  # (iteration, free_count)
@@ -121,7 +120,7 @@ def add_level_cut(C, lam, rhs):
 
 def prune_redundant_cuts(cuts, L: LowerBoundSet):
     """Drop cuts with strictly positive slack at every extreme solution of L."""
-    if not cuts or L.kind != Kind.FULL or not L.extreme_solutions:
+    if not cuts or not L.extreme_solutions:
         return cuts
     kept = []
     for a, rhs in cuts:
@@ -159,7 +158,7 @@ def choose_branch_variable(instance: Instance, L: LowerBoundSet, free, config: S
     """Most-often-fractional over the bound's extreme solutions, else sum-of-ratios."""
     if not free:
         raise ModelError("no free variables to branch on")
-    if config.branching == BRANCH_MOF and L.kind == Kind.FULL and L.extreme_solutions:
+    if config.branching == BRANCH_MOF and L.extreme_solutions:
         X = np.asarray(L.extreme_solutions)[:, free]
         counts = np.sum(np.abs(X - np.rint(X)) > _INT_TOL, axis=0)
         best = int(np.argmax(counts))  # argmax keeps the lowest index on ties
@@ -232,7 +231,6 @@ class Solver:
         p = instance.p
         self.M = default_big_m(instance.C)
         self.U = IncumbentList()
-        self._images = set()    # the images in U, kept in step by _accept
         self.K = LocalUpperBoundSet(p, self.M)
         self.root_cuts = []
         self._deadline = None
@@ -243,13 +241,9 @@ class Solver:
     def _remaining(self) -> float:
         return max(self._deadline - time.monotonic(), 0.01)
 
-    def _accept(self, sol: Solution) -> bool:
-        accepted, removed = self.U.update(sol)
-        if accepted:
-            self._images.difference_update(s.image for s in removed)
-            self._images.add(sol.image)
+    def _accept(self, sol: Solution):
+        if self.U.update(sol)[0]:
             self.K.update(np.asarray(sol.image))
-        return accepted
 
     def _new_node(self, **kw) -> Node:
         node = Node(id=self._next_id, **kw)
@@ -325,7 +319,7 @@ class Solver:
             if cut is not None:
                 node.cuts = node.cuts + [cut]
                 self.stats.cut_log.append((dict(node.fixings), cut[0], cut[1]))
-        return LowerBoundSet(kind=Kind.SIMPLE, hyperplanes=hyperplanes,
+        return LowerBoundSet(hyperplanes=hyperplanes,
                              facet_offsets=np.asarray(offsets, dtype=float))
 
     # -- terminal enumeration ---------------------------------------------
@@ -337,31 +331,37 @@ class Solver:
 
     # -- node processing ---------------------------------------------------
 
-    def _extract_integral(self, L: LowerBoundSet):
-        """Pass integer extreme-point solutions of the bound to the incumbent list."""
-        if not L.extreme_solutions:
-            return
-        X = np.asarray(L.extreme_solutions)
-        Xr = np.rint(X)
-        for i in np.where(np.max(np.abs(X - Xr), axis=1) <= _INT_TOL)[0]:
-            xi = Xr[i].astype(np.int64)
-            if is_feasible(self.instance, xi):
-                self._accept(Solution.from_x(self.instance, xi))
+    def _surviving(self, L: LowerBoundSet) -> np.ndarray:
+        """Pass the bound's integral extreme solutions to the incumbent list,
+        then return the local upper bounds strictly above the bound."""
+        if L.extreme_solutions:
+            X = np.asarray(L.extreme_solutions)
+            Xr = np.rint(X)
+            for i in np.where(np.max(np.abs(X - Xr), axis=1) <= _INT_TOL)[0]:
+                xi = Xr[i].astype(np.int64)
+                if is_feasible(self.instance, xi):
+                    self._accept(Solution.from_x(self.instance, xi))
+        return self.K.arr[surviving_mask(L, self.K.arr)]
 
     def process_node(self, node: Node, iteration: int, queue: _Queue):
+        """Bound, then fathom or branch one node; returns the outcome.
+
+        A node is pruned by infeasibility, by dominance (no local upper bound
+        lies strictly above its bound) or by terminal enumeration.
+        """
         cfg = self.config
         inst = self.instance
         free = [j for j in range(inst.n) if j not in node.fixings]
 
         if not free:
+            # a leaf's one point joins the incumbents, which then dominate it
             sols = enumerate_nondominated(inst, node.fixings)
             if not sols:
                 self._record_fathom(node, "infeasibility")
                 return "infeasibility"
             self._accept(sols[0])
-            cause = "optimality" if sols[0].image in self._images else "dominance"
-            self._record_fathom(node, cause)
-            return cause
+            self._record_fathom(node, "dominance")
+            return "dominance"
 
         if cfg.te_enabled and len(free) <= cfg.te_threshold:
             self.terminal_enumeration(node)
@@ -372,7 +372,6 @@ class Solver:
         sub = RelaxedSubproblem(inst, dict(node.fixings), list(node.cuts))
         use_slb = (cfg.slb_enabled and node.depth >= cfg.slb_level
                    and node.depth % cfg.slb_level == 0)
-        refine_later = False
         if use_slb:
             self.stats.slb_depths.append((iteration, node.depth))
             L = self.simple_lower_bound(node, sub)
@@ -380,51 +379,28 @@ class Solver:
                 self._record_fathom(node, "infeasibility")
                 return "infeasibility"
         else:
-            # refinement is deferred: fathoming is monotone in the bound, so
-            # the cheap initial bound settles most nodes without it
-            refine_later = inst.p >= 3 and cfg.refine_max > 0
-            t0 = time.monotonic()
             try:
                 L = lower_bound_frontier(sub)
             except InfeasibleSubproblem:
                 self._record_fathom(node, "infeasibility")
                 return "infeasibility"
-            if node.depth == 0:
-                if refine_later:
-                    L = refine_frontier(sub, L, cfg.refine_max)
-                    refine_later = False
-                if self.stats.root_lb_time == 0.0:
-                    self.stats.root_lb_time = time.monotonic() - t0
 
         n = inst.n
         if (cfg.ec_enabled and iteration % n == 0
                 and iteration <= inst.p * n * n):
             self.ec_step(L, iteration)
 
-        self._extract_integral(L)
-
-        # fathoming by optimality: bound collapsed to one integral incumbent point
-        if L.kind == Kind.FULL and len(L.extreme_points) == 1:
-            pt = np.asarray(L.extreme_points[0])
-            ptr = np.rint(pt)
-            if np.max(np.abs(pt - ptr)) <= _INT_TOL:
-                key = tuple(int(v) for v in ptr)
-                if key in self._images:
-                    self._record_fathom(node, "optimality")
-                    return "optimality"
-
-        surviving = self.K.arr[surviving_mask(L, self.K.arr)]
+        surviving = self._surviving(L)
+        # refinement is deferred at every node, the root included: fathoming
+        # is monotone in the bound, so the cheap initial bound settles most
+        # nodes without it
+        if (len(surviving) and not use_slb and inst.p >= 3
+                and cfg.refine_max > 0):
+            L = refine_frontier(sub, L, cfg.refine_max)
+            surviving = self._surviving(L)
         if not len(surviving):
             self._record_fathom(node, "dominance")
             return "dominance"
-
-        if refine_later:
-            L = refine_frontier(sub, L, cfg.refine_max)
-            self._extract_integral(L)
-            surviving = self.K.arr[surviving_mask(L, self.K.arr)]
-            if not len(surviving):
-                self._record_fathom(node, "dominance")
-                return "dominance"
 
         gap = (float(gap_values(L, surviving, cfg.measure).max())
                if cfg.dynamic else 0.0)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from mobb.bounds import (Kind, LocalUpperBoundSet, LowerBoundSet, hv_box_gap,
+from mobb.bounds import (LocalUpperBoundSet, LowerBoundSet, hv_box_gap,
                          hv_simplex_gap, local_ideal, spanning_points)
 from mobb.cli import (APPROACHES, BENCH_HEADER, PROFILE_HEADER,
                       approach_config, main)
@@ -94,7 +94,6 @@ class TestAcceptance:
                         if np.all(np.asarray(u) < M)}
             assert interior == {(6, 9), (9, 7), (10, 5)}
             L = LowerBoundSet(
-                kind=Kind.FULL,
                 hyperplanes=[(np.array([11.0, 1.0]), 21.5),
                              (np.array([2.0, 1.0]), 8.0),
                              (np.array([3.0, 10.0]), 29.0)],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobb.bounds import (IncumbentList, Kind, LocalUpperBoundSet, LowerBoundSet,
+from mobb.bounds import (IncumbentList, LocalUpperBoundSet, LowerBoundSet,
                          MEASURE_HSZ, MEASURE_LHG, brute_force_lubs,
                          default_big_m, gap_argmax_lub, gap_values, hv_box_gap,
                          hv_simplex_gap, is_strictly_above, local_ideal,
@@ -17,7 +17,6 @@ def polyline_bound():
     """Biobjective bound set whose boundary is the polyline
     (1,10.5)-(1.5,5)-(3,2)-(8,0.5), plus the two axis facets."""
     return LowerBoundSet(
-        kind=Kind.FULL,
         hyperplanes=[(np.array([11.0, 1.0]), 21.5),
                      (np.array([2.0, 1.0]), 8.0),
                      (np.array([3.0, 10.0]), 29.0)],
@@ -109,15 +108,15 @@ class TestLocalUpperBoundSet:
 
 class TestStrictlyAbove:
     def test_below_single_hyperplane(self):
-        L = LowerBoundSet(kind=Kind.FULL, hyperplanes=[(np.array([1.0, 1.0]), 10.0)])
+        L = LowerBoundSet(hyperplanes=[(np.array([1.0, 1.0]), 10.0)])
         assert not is_strictly_above(L, (4, 5))
 
     def test_above_single_hyperplane(self):
-        L = LowerBoundSet(kind=Kind.FULL, hyperplanes=[(np.array([1.0, 1.0]), 10.0)])
+        L = LowerBoundSet(hyperplanes=[(np.array([1.0, 1.0]), 10.0)])
         assert is_strictly_above(L, (6, 6))
 
     def test_boundary_point_not_strict(self):
-        L = LowerBoundSet(kind=Kind.FULL, hyperplanes=[(np.array([1.0, 1.0]), 10.0)])
+        L = LowerBoundSet(hyperplanes=[(np.array([1.0, 1.0]), 10.0)])
         assert not is_strictly_above(L, (4, 6))
 
     def test_axis_facets_participate(self):
@@ -133,13 +132,13 @@ class TestStrictlyAbove:
 
 class TestDominanceFathom:
     def test_fathom_when_all_lubs_below(self):
-        L = LowerBoundSet(kind=Kind.FULL, hyperplanes=[(np.array([1.0, 1.0]), 10.0)])
+        L = LowerBoundSet(hyperplanes=[(np.array([1.0, 1.0]), 10.0)])
         K = LocalUpperBoundSet(2, 100)
         K.arr = np.array([[4, 5]], dtype=np.int64)
         assert len(surviving(L, K)) == 0
 
     def test_survivor_blocks_fathoming(self):
-        L = LowerBoundSet(kind=Kind.FULL, hyperplanes=[(np.array([1.0, 1.0]), 10.0)])
+        L = LowerBoundSet(hyperplanes=[(np.array([1.0, 1.0]), 10.0)])
         K = LocalUpperBoundSet(2, 100)
         K.arr = np.array([[4, 5], [6, 6]], dtype=np.int64)
         assert [tuple(u) for u in surviving(L, K)] == [(6, 6)]
@@ -158,16 +157,14 @@ class TestSpanningPoints:
         assert sp2 == pytest.approx([6, 9 - 7.9], abs=1e-12)
 
     def test_single_hyperplane(self):
-        L = LowerBoundSet(kind=Kind.FULL,
-                          hyperplanes=[(np.array([1.0, 1.0]), 2.0)],
+        L = LowerBoundSet(hyperplanes=[(np.array([1.0, 1.0]), 2.0)],
                           facet_offsets=np.array([-10.0, -10.0]))
         sp1, sp2 = spanning_points(L, (2, 2))
         assert list(sp1) == [0.0, 2.0]
         assert list(sp2) == [2.0, 0.0]
 
     def test_boundary_lub_degenerates(self):
-        L = LowerBoundSet(kind=Kind.FULL,
-                          hyperplanes=[(np.array([1.0, 1.0]), 4.0)],
+        L = LowerBoundSet(hyperplanes=[(np.array([1.0, 1.0]), 4.0)],
                           facet_offsets=np.array([0.0, 0.0]))
         sp1, sp2 = spanning_points(L, (2, 2))
         assert list(sp1) == [2.0, 2.0]
@@ -228,12 +225,12 @@ class TestLocalIdeal:
         assert list(local_ideal(polyline_bound())) == [1.0, 0.5]
 
     def test_singleton_extreme_point(self):
-        L = LowerBoundSet(kind=Kind.FULL, hyperplanes=[],
+        L = LowerBoundSet(hyperplanes=[],
                           extreme_points=[np.array([4.0, 4.0])])
         assert list(local_ideal(L)) == [4.0, 4.0]
 
     def test_componentwise_min_of_extremes(self):
-        L = LowerBoundSet(kind=Kind.FULL, hyperplanes=[],
+        L = LowerBoundSet(hyperplanes=[],
                           extreme_points=[np.array([0.0, 5.0, 9.0]),
                                           np.array([5.0, 0.0, 9.0]),
                                           np.array([9.0, 5.0, 0.0])])

@@ -87,6 +87,17 @@ class TestSolveCommand:
         assert main(["solve", str(kp_file)]) == 2
         assert "'p' must be an integer" in capsys.readouterr().err
 
+    def test_coefficient_at_int64_limit_is_clean_error(self, tmp_path, capsys):
+        # C @ x would wrap in int64 and report a point with the wrong sign
+        inst = generate(GeneratorSpec(family="KP", p=2, seed=0, items=4))
+        path = tmp_path / "wrap.json"
+        write_instance(inst, path)
+        doc = json.loads(path.read_text())
+        doc["C"][0][0] = -2**63
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == 2
+        assert "'C': coefficients too large" in capsys.readouterr().err
+
     def test_missing_file_reported(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -180,6 +180,11 @@ class TestFileFormat:
         ("C", [[2**63, 1, 1, 1], [1, 2, 3, 4]], "'C': coefficient outside the int64 range"),
         ("C", [[-2**63 - 1, 1, 1, 1], [1, 2, 3, 4]], "'C': coefficient outside the int64 range"),
         ("C", [[10**400, 1, 1, 1], [1, 2, 3, 4]], "'C'"),
+        # in int64 range, but C @ x or the big-M would wrap
+        ("C", [[-2**63, 1, 1, 1], [1, 2, 3, 4]], "'C': coefficients too large"),
+        ("C", [[2**61, 2**61, 0, 0], [1, 2, 3, 4]], "'C': coefficients too large"),
+        ("A", [[2**62, 1, 1, 1]], "'A': coefficients too large"),
+        ("b", [-2**62], "'b': coefficients too large"),
     ])
     def test_malformed_field_rejected(self, tmp_path, key, value, match):
         inst = generate(GeneratorSpec(family="KP", p=2, seed=0, items=4))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobb.bounds import Kind, LowerBoundSet
+from mobb.bounds import LowerBoundSet
 from mobb.instances import GeneratorSpec, generate
 from mobb.lp import (_FACET_TOL, INFEASIBLE, OPTIMAL, InfeasibleSubproblem,
                      RelaxedSubproblem, _dedupe_points, _greedy_knapsack_lp,
@@ -111,7 +111,6 @@ class TestFrontier2d:
     def test_cover_segment(self):
         sub = RelaxedSubproblem(cover_instance())
         L = lower_bound_frontier(sub)
-        assert L.kind == Kind.FULL
         pts = sorted(tuple(np.round(y, 6)) for y in L.extreme_points)
         assert pts == [(0.0, 1.0), (1.0, 0.0)]
         normals = {tuple(np.round(lam / lam.sum(), 6)): rhs
@@ -309,7 +308,7 @@ def _refine_from_scratch(sub, L, refine_max):
     p-subsets of its planes in every round (the reference)."""
     inst = sub.instance
     p = inst.p
-    if refine_max <= 0 or L.kind != Kind.FULL or p == 2:
+    if refine_max <= 0 or p == 2:
         return L
     hyperplanes = list(L.hyperplanes)
     points = list(L.extreme_points)
@@ -361,7 +360,7 @@ def _refine_from_scratch(sub, L, refine_max):
             points.append(inst.C @ res.x)
             sols.append(res.x)
     points, sols = _dedupe_points(points, sols)
-    return LowerBoundSet(kind=Kind.FULL, hyperplanes=hyperplanes,
+    return LowerBoundSet(hyperplanes=hyperplanes,
                          extreme_points=points, extreme_solutions=sols,
                          facet_offsets=L.facet_offsets)
 

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from mobb.bounds import Kind, LowerBoundSet
+from mobb.bounds import LowerBoundSet
 from mobb.instances import GeneratorSpec, generate
 from mobb.model import Instance, ModelError, enumerate_nondominated
 from mobb.solver import (Node, SolverConfig, Solver, _Queue, add_level_cut,
@@ -33,6 +33,18 @@ class TestSolveAgainstOracle:
         points, entries, stats = solve(tiny_kp(),
                                        SolverConfig(node_selection=strategy))
         assert points == [(-3, -1), (-1, -3)]
+        assert stats.solved
+
+    @pytest.mark.parametrize("refine_max", (0, 50))
+    @pytest.mark.parametrize("strategy", ("depth", "lhg"))
+    def test_point_off_the_initial_bound_kept_at_p3(self, strategy, refine_max):
+        # every weighted-sum LP optimum of the root bound is (10, 0, 0), the
+        # only incumbent after the root; (9, 1000, 1000) is nondominated too
+        inst = Instance(C=[[10, 9], [0, 1000], [0, 1000]], A=[[1, 1]], b=[1],
+                        senses=("eq",))
+        cfg = SolverConfig(node_selection=strategy, refine_max=refine_max)
+        points, _, stats = solve(inst, cfg)
+        assert points == oracle_front(inst) == [(9, 1000, 1000), (10, 0, 0)]
         assert stats.solved
 
     def test_infeasible_instance_empty_and_solved(self):
@@ -150,7 +162,7 @@ class TestLevelCut:
 
 class TestPruneRedundantCuts:
     def _bound_with_solutions(self, sols):
-        return LowerBoundSet(kind=Kind.FULL, hyperplanes=[],
+        return LowerBoundSet(hyperplanes=[],
                              extreme_points=[np.zeros(2) for _ in sols],
                              extreme_solutions=[np.asarray(s, dtype=float)
                                                 for s in sols])
@@ -174,7 +186,7 @@ class TestBranchingRules:
     def test_most_often_fractional(self):
         inst = Instance(C=[[1, 1, 1], [1, 1, 1]], A=[[1, 1, 1]], b=[3],
                         senses=("le",))
-        L = LowerBoundSet(kind=Kind.FULL, hyperplanes=[],
+        L = LowerBoundSet(hyperplanes=[],
                           extreme_solutions=[np.array([0.5, 1.0, 0.0]),
                                              np.array([0.5, 0.2, 0.0])])
         j = choose_branch_variable(inst, L, [0, 1, 2], SolverConfig())
@@ -187,7 +199,7 @@ class TestBranchingRules:
 
     def test_integral_solutions_fall_back_to_ratio_rule(self):
         inst = Instance(C=[[3, 1], [1, 3]], A=[[1, 2]], b=[3], senses=("le",))
-        L = LowerBoundSet(kind=Kind.FULL, hyperplanes=[],
+        L = LowerBoundSet(hyperplanes=[],
                           extreme_solutions=[np.array([1.0, 0.0])])
         assert choose_branch_variable(inst, L, [0, 1], SolverConfig()) == 0
 

@@ -19,7 +19,8 @@ PROFILE_HEADER = ["approach", "time_s", "proportion"]
 APPROACHES = ["BB", "NS(LHG)", "NS(HSZ)", "WST", "EC", "SLB"]
 
 
-def approach_config(label: str, time_limit: float, refine_max: int = 50) -> SolverConfig:
+def approach_config(label: str, time_limit: float,
+                    refine_max: int = SolverConfig.refine_max) -> SolverConfig:
     """Map a benchmark approach label to a solver configuration."""
     base = label[:-3] if label.endswith("+TE") else label
     te = label.endswith("+TE")
@@ -46,16 +47,17 @@ def approach_config(label: str, time_limit: float, refine_max: int = 50) -> Solv
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--strategy", choices=["depth", "breadth", "lhg", "hsz"],
-                   default="depth")
-    p.add_argument("--branching", choices=["mof", "sor"], default="mof")
+                   default=SolverConfig.node_selection)
+    p.add_argument("--branching", choices=["mof", "sor"],
+                   default=SolverConfig.branching)
     p.add_argument("--warmstart", action="store_true")
     p.add_argument("--ec", action="store_true")
     p.add_argument("--slb", action="store_true")
-    p.add_argument("--slb-level", type=int, default=5)
+    p.add_argument("--slb-level", type=int, default=SolverConfig.slb_level)
     p.add_argument("--te", action="store_true")
-    p.add_argument("--te-threshold", type=int, default=10)
-    p.add_argument("--time-limit", type=float, default=7200.0)
-    p.add_argument("--refine-max", type=int, default=50)
+    p.add_argument("--te-threshold", type=int, default=SolverConfig.te_threshold)
+    p.add_argument("--time-limit", type=float, default=SolverConfig.time_limit)
+    p.add_argument("--refine-max", type=int, default=SolverConfig.refine_max)
 
 
 def _config_from_args(args) -> SolverConfig:
@@ -120,8 +122,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def run_bench(instance_paths, approaches, time_limit, refine_max=50,
-              report_wall_time=True):
+def run_bench(instance_paths, approaches, time_limit,
+              refine_max=SolverConfig.refine_max, report_wall_time=True):
     """One row per (approach, instance) plus per-approach aggregate rows."""
     rows = []
     for label in approaches:
@@ -195,7 +197,19 @@ def cmd_profile(args) -> int:
         if reader.fieldnames != BENCH_HEADER:
             print(f"unexpected bench CSV header: {reader.fieldnames}", file=sys.stderr)
             return 1
-        rows = list(reader)
+        rows = []
+        for row in reader:
+            try:
+                # DictReader files surplus fields under None and fills
+                # missing ones with None
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(BENCH_HEADER)} fields")
+                float(row["time_s"])
+            except ValueError as exc:
+                print(f"bad bench CSV row at line {reader.line_num}: {exc}",
+                      file=sys.stderr)
+                return 1
+            rows.append(row)
     out = args.out or "profile.csv"
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -237,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a benchmark matrix to CSV")
     p_bench.add_argument("instances", help="instance file or directory")
     p_bench.add_argument("--approaches", default=",".join(APPROACHES))
-    p_bench.add_argument("--time-limit", type=float, default=7200.0)
-    p_bench.add_argument("--refine-max", type=int, default=50)
+    p_bench.add_argument("--time-limit", type=float, default=SolverConfig.time_limit)
+    p_bench.add_argument("--refine-max", type=int, default=SolverConfig.refine_max)
     p_bench.add_argument("--no-wall-time", action="store_true",
                          help="write 0.000 for time_s (reproducible output)")
     p_bench.add_argument("--out")

@@ -158,13 +158,3 @@ def solve_econstraint(sub: RelaxedSubproblem, k: int, eps, time_limit: float = m
                             value=res1.value, bound=res1.bound), 2
     return res2, 2
 
-
-def augmented_unit_weights(p: int, delta: float = 1e-3):
-    """The warmstart weight set: p augmented unit vectors plus equal weights."""
-    weights = []
-    for k in range(p):
-        w = np.full(p, delta)
-        w[k] = 1.0
-        weights.append(w / w.sum())
-    weights.append(np.full(p, 1.0 / p))
-    return weights

@@ -334,6 +334,18 @@ def _normalize(lam):
     return lam / lam.sum()
 
 
+def augmented_unit_weights(p: int, delta: float = 1e-3):
+    """p augmented unit vectors plus equal weights, each summing to 1: the
+    planes of the initial outer approximation and the warmstart weight set."""
+    weights = []
+    for k in range(p):
+        w = np.full(p, delta)
+        w[k] = 1.0
+        weights.append(w / w.sum())
+    weights.append(np.full(p, 1.0 / p))
+    return weights
+
+
 def _frontier_2d(sub: RelaxedSubproblem) -> LowerBoundSet:
     """All extreme supported points of a biobjective relaxation, dichotomically."""
     inst = sub.instance
@@ -484,14 +496,7 @@ def _frontier_outer(sub: RelaxedSubproblem) -> LowerBoundSet:
     planes for the augmented unit weights plus the all-ones weight, and the
     per-objective minima as axis facets. ``refine_frontier`` tightens it."""
     inst = sub.instance
-    p = inst.p
-    delta = 1e-3
-    weights = []
-    for k in range(p):
-        w = np.full(p, delta)
-        w[k] = 1.0
-        weights.append(_normalize(w))
-    weights.append(_normalize(np.ones(p)))
+    weights = augmented_unit_weights(inst.p)
     Cf = inst.C.astype(float)
     objs = np.vstack([np.asarray(weights) @ Cf, Cf])
     results = [solve_lp(sub, c) for c in objs]

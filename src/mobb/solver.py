@@ -20,9 +20,8 @@ from .bounds import (IncumbentList, LocalUpperBoundSet, LowerBoundSet,
                      MEASURE_HSZ, MEASURE_LHG, default_big_m, gap_argmax_lub,
                      gap_values, local_ideal, surviving_mask)
 from .ipsolve import (STATUS_INFEASIBLE, STATUS_NO_SOLUTION_TIMEOUT,
-                      STATUS_OPTIMAL, augmented_unit_weights, solve_econstraint,
-                      solve_weighted_sum_ip)
-from .lp import (InfeasibleSubproblem, RelaxedSubproblem,
+                      STATUS_OPTIMAL, solve_econstraint, solve_weighted_sum_ip)
+from .lp import (InfeasibleSubproblem, RelaxedSubproblem, augmented_unit_weights,
                  lower_bound_frontier, refine_frontier)
 from .model import (DEFAULT_ENUM_CAP, Instance, ModelError, Solution,
                     enumerate_nondominated, is_feasible)
@@ -54,7 +53,6 @@ class SolverConfig:
     time_limit: float = 7200.0
     refine_max: int = 50
     trace: bool = False
-    collect_fathomed: bool = False
 
     def __post_init__(self):
         if self.te_threshold > DEFAULT_ENUM_CAP:
@@ -77,8 +75,6 @@ class SolverConfig:
 
 @dataclass
 class Node:
-    id: int
-    parent: int
     depth: int
     fixings: dict
     gap: float                       # frozen gap inherited from the parent
@@ -96,11 +92,9 @@ class SolveStats:
         "infeasibility": 0, "dominance": 0, "enumeration": 0})
     branched: int = 0
     solved: bool = False
-    ec_iterations: list = field(default_factory=list)
-    slb_depths: list = field(default_factory=list)     # (iteration, depth)
-    te_iterations: list = field(default_factory=list)  # (iteration, free_count)
-    fathom_log: list = field(default_factory=list)     # (fixings, cause) when collected
     cut_log: list = field(default_factory=list)        # (fixings, coeffs, rhs)
+    # one dict per node under SolverConfig.trace: iteration, depth, free,
+    # fixings, outcome, slb (SLB built the bound), ec (an EC solve ran)
     trace: list = field(default_factory=list)
 
 
@@ -234,7 +228,6 @@ class Solver:
         self.K = LocalUpperBoundSet(p, self.M)
         self.root_cuts = []
         self._deadline = None
-        self._next_id = 0
 
     # -- helpers ----------------------------------------------------------
 
@@ -244,16 +237,6 @@ class Solver:
     def _accept(self, sol: Solution):
         if self.U.update(sol)[0]:
             self.K.update(np.asarray(sol.image))
-
-    def _new_node(self, **kw) -> Node:
-        node = Node(id=self._next_id, **kw)
-        self._next_id += 1
-        return node
-
-    def _record_fathom(self, node: Node, cause: str):
-        self.stats.fathomed[cause] += 1
-        if self.config.collect_fathomed:
-            self.stats.fathom_log.append((dict(node.fixings), cause))
 
     # -- warmstart --------------------------------------------------------
 
@@ -277,19 +260,21 @@ class Solver:
 
     # -- scheduled e-constraint solves ------------------------------------
 
-    def ec_step(self, L: LowerBoundSet, iteration: int):
+    def ec_step(self, L: LowerBoundSet) -> bool:
+        """Two-stage e-constraint solve below the lub of largest gap; False
+        if no lub survives, so nothing is solved."""
         surviving = self.K.arr[surviving_mask(L, self.K.arr)]
         lu = gap_argmax_lub(L, surviving, self.config.measure)
         if lu is None:
-            return
+            return False
         # stage 1 minimizes z_0 under z_i <= lu_i - 1 for the other objectives
         eps = [int(v) - 1 for v in lu[1:]]
         sub = RelaxedSubproblem(self.instance, {}, list(self.root_cuts))
         res, n_ips = solve_econstraint(sub, 0, eps, self._remaining())
         self.stats.ips += n_ips
-        self.stats.ec_iterations.append(iteration)
         if res.status == STATUS_OPTIMAL and res.solution is not None:
             self._accept(Solution.from_x(self.instance, res.solution))
+        return True
 
     # -- simple lower bound -----------------------------------------------
 
@@ -344,10 +329,13 @@ class Solver:
         return self.K.arr[surviving_mask(L, self.K.arr)]
 
     def process_node(self, node: Node, iteration: int, queue: _Queue):
-        """Bound, then fathom or branch one node; returns the outcome.
+        """Bound, then fathom or branch one node.
 
-        A node is pruned by infeasibility, by dominance (no local upper bound
-        lies strictly above its bound) or by terminal enumeration.
+        Returns (outcome, slb, ec): the fathom cause or "branched", whether
+        the simple lower bound replaced the frontier, and whether an
+        e-constraint solve ran. A node is pruned by infeasibility, by
+        dominance (no local upper bound lies strictly above its bound) or by
+        terminal enumeration.
         """
         cfg = self.config
         inst = self.instance
@@ -357,38 +345,30 @@ class Solver:
             # a leaf's one point joins the incumbents, which then dominate it
             sols = enumerate_nondominated(inst, node.fixings)
             if not sols:
-                self._record_fathom(node, "infeasibility")
-                return "infeasibility"
+                return "infeasibility", False, False
             self._accept(sols[0])
-            self._record_fathom(node, "dominance")
-            return "dominance"
+            return "dominance", False, False
 
         if cfg.te_enabled and len(free) <= cfg.te_threshold:
             self.terminal_enumeration(node)
-            self.stats.te_iterations.append((iteration, len(free)))
-            self._record_fathom(node, "enumeration")
-            return "enumeration"
+            return "enumeration", False, False
 
         sub = RelaxedSubproblem(inst, dict(node.fixings), list(node.cuts))
         use_slb = (cfg.slb_enabled and node.depth >= cfg.slb_level
                    and node.depth % cfg.slb_level == 0)
         if use_slb:
-            self.stats.slb_depths.append((iteration, node.depth))
             L = self.simple_lower_bound(node, sub)
             if L is None:
-                self._record_fathom(node, "infeasibility")
-                return "infeasibility"
+                return "infeasibility", True, False
         else:
             try:
                 L = lower_bound_frontier(sub)
             except InfeasibleSubproblem:
-                self._record_fathom(node, "infeasibility")
-                return "infeasibility"
+                return "infeasibility", False, False
 
         n = inst.n
-        if (cfg.ec_enabled and iteration % n == 0
-                and iteration <= inst.p * n * n):
-            self.ec_step(L, iteration)
+        ec = (cfg.ec_enabled and iteration % n == 0
+              and iteration <= inst.p * n * n and self.ec_step(L))
 
         surviving = self._surviving(L)
         # refinement is deferred at every node, the root included: fathoming
@@ -399,8 +379,7 @@ class Solver:
             L = refine_frontier(sub, L, cfg.refine_max)
             surviving = self._surviving(L)
         if not len(surviving):
-            self._record_fathom(node, "dominance")
-            return "dominance"
+            return "dominance", use_slb, ec
 
         gap = (float(gap_values(L, surviving, cfg.measure).max())
                if cfg.dynamic else 0.0)
@@ -410,19 +389,16 @@ class Solver:
         for v in (0, 1):
             fixings = dict(node.fixings)
             fixings[j] = v
-            child = self._new_node(parent=node.id, depth=node.depth + 1,
-                                   fixings=fixings, gap=gap,
-                                   cuts=list(node.cuts),
-                                   parent_facet_offsets=offsets,
-                                   parent_surviving_lubs=surviving.copy())
-            queue.push(child)
-        self.stats.branched += 1
-        return "branched"
+            queue.push(Node(depth=node.depth + 1, fixings=fixings, gap=gap,
+                            cuts=list(node.cuts), parent_facet_offsets=offsets,
+                            parent_surviving_lubs=surviving.copy()))
+        return "branched", use_slb, ec
 
     # -- main loop ---------------------------------------------------------
 
     def solve(self):
         cfg = self.config
+        stats = self.stats
         start = time.monotonic()
         self._deadline = start + cfg.time_limit
         feasible = True
@@ -430,30 +406,35 @@ class Solver:
             feasible = self.warmstart()
         if feasible:
             queue = _Queue(cfg.node_selection)
-            root = self._new_node(parent=-1, depth=0, fixings={},
-                                  gap=math.inf, cuts=list(self.root_cuts))
-            queue.push(root)
+            queue.push(Node(depth=0, fixings={}, gap=math.inf,
+                            cuts=list(self.root_cuts)))
             iteration = 0
-            self.stats.solved = True
+            stats.solved = True
             while len(queue):
                 if time.monotonic() > self._deadline:
-                    self.stats.solved = False
+                    stats.solved = False
                     break
                 node = queue.pop()
                 iteration += 1
-                self.stats.nodes_explored += 1
-                outcome = self.process_node(node, iteration, queue)
+                outcome, slb, ec = self.process_node(node, iteration, queue)
+                stats.nodes_explored = iteration
+                if outcome == "branched":
+                    stats.branched += 1
+                else:
+                    stats.fathomed[outcome] += 1
                 if cfg.trace:
-                    self.stats.trace.append({
-                        "iteration": iteration, "node": node.id,
-                        "depth": node.depth, "outcome": outcome,
-                        "free": self.instance.n - len(node.fixings)})
+                    # a node's fixings are never changed once it is built
+                    stats.trace.append({
+                        "iteration": iteration, "depth": node.depth,
+                        "free": self.instance.n - len(node.fixings),
+                        "fixings": node.fixings, "outcome": outcome,
+                        "slb": slb, "ec": ec})
         else:
-            self.stats.solved = True
-        self.stats.wall_time = time.monotonic() - start
+            stats.solved = True
+        stats.wall_time = time.monotonic() - start
         entries = sorted(self.U.entries, key=lambda s: s.image)
         points = [s.image for s in entries]
-        return points, entries, self.stats
+        return points, entries, stats
 
 
 def solve(instance: Instance, config: SolverConfig = None):

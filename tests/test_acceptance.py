@@ -133,18 +133,18 @@ class TestAcceptance:
             for spec in specs:
                 inst = generate(spec)
                 assert inst.n <= 12
-                for cfg in (SolverConfig(collect_fathomed=True, refine_max=5),
-                            SolverConfig(collect_fathomed=True, refine_max=5,
+                for cfg in (SolverConfig(trace=True, refine_max=5),
+                            SolverConfig(trace=True, refine_max=5,
                                          node_selection="lhg", warmstart=True)):
                     points, _, stats = solve(inst, cfg)
                     front = [np.asarray(y) for y in points]
-                    for fixings, cause in stats.fathom_log:
-                        if cause != "dominance":
+                    for rec in stats.trace:
+                        if rec["outcome"] != "dominance":
                             continue
                         n_subtrees += 1
-                        for s in enumerate_nondominated(inst, fixings):
+                        for s in enumerate_nondominated(inst, rec["fixings"]):
                             assert any(weakly_dominates(f, s.image)
-                                       for f in front), (inst.name, fixings)
+                                       for f in front), (inst.name, rec["fixings"])
             assert n_subtrees > 0
 
     def test_c5_dichotomic_exactness(self, capfd):
@@ -214,7 +214,7 @@ class TestAcceptance:
                                ec_enabled=True, refine_max=0, time_limit=12,
                                trace=True)
             _, _, stats = solve(inst, cfg)
-            fired = set(stats.ec_iterations)
+            fired = {r["iteration"] for r in stats.trace if r["ec"]}
             assert fired
             for it in fired:
                 assert it % n == 0 and it <= cap
@@ -227,9 +227,9 @@ class TestAcceptance:
             cfg = SolverConfig(slb_enabled=True, slb_level=5, refine_max=0,
                                time_limit=8, trace=True)
             _, _, stats = solve(inst, cfg)
-            fired = {it for it, depth in stats.slb_depths}
+            fired = {r["iteration"] for r in stats.trace if r["slb"]}
             assert fired
-            for _, depth in stats.slb_depths:
+            for depth in (r["depth"] for r in stats.trace if r["slb"]):
                 assert depth >= 5 and depth % 5 == 0
             eligible = {r["iteration"] for r in stats.trace
                         if r["depth"] >= 5 and r["depth"] % 5 == 0
@@ -239,8 +239,9 @@ class TestAcceptance:
             cfg = SolverConfig(te_enabled=True, te_threshold=10, refine_max=0,
                                time_limit=8, trace=True)
             _, _, stats = solve(inst, cfg)
-            assert stats.te_iterations
-            fired = {it for it, free in stats.te_iterations}
+            fired = {r["iteration"] for r in stats.trace
+                     if r["outcome"] == "enumeration"}
+            assert fired
             eligible = {r["iteration"] for r in stats.trace
                         if 0 < r["free"] <= 10}
             assert fired == eligible

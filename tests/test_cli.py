@@ -239,6 +239,16 @@ class TestProfile:
         assert main(["profile", str(bad)]) == 1
         assert "header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["BB,x,1,abc,0,1,3", "BB,x,1",
+                                     "BB,x,1,0.500,0,1,3,9"])
+    def test_malformed_row_rejected(self, tmp_path, capsys, row):
+        bench = tmp_path / "bench.csv"
+        bench.write_text(",".join(BENCH_HEADER) + "\nBB,y,1,0.100,0,1,3\n" + row + "\n")
+        prof = tmp_path / "profile.csv"
+        assert main(["profile", str(bench), "--out", str(prof)]) == 1
+        assert "line 3" in capsys.readouterr().err
+        assert not prof.exists()
+
     def test_empty_bench_gives_header_only(self, tmp_path):
         bench = tmp_path / "bench.csv"
         bench.write_text(",".join(BENCH_HEADER) + "\n")

@@ -5,9 +5,9 @@ import pytest
 
 from mobb.ipsolve import (STATUS_FEASIBLE_TIMEOUT, STATUS_INFEASIBLE,
                           STATUS_NO_SOLUTION_TIMEOUT, STATUS_OPTIMAL,
-                          augmented_unit_weights, solve_econstraint,
-                          solve_single_objective, solve_weighted_sum_ip)
-from mobb.lp import RelaxedSubproblem
+                          solve_econstraint, solve_single_objective,
+                          solve_weighted_sum_ip)
+from mobb.lp import RelaxedSubproblem, augmented_unit_weights
 from mobb.model import Instance
 
 

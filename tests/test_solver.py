@@ -89,12 +89,13 @@ class TestQueue:
 
     @staticmethod
     def drain(strategy, gaps):
+        # depth labels the i-th pushed node; the queue never reads it
         queue = _Queue(strategy)
         for i, gap in enumerate(gaps):
-            queue.push(Node(id=i, parent=-1, depth=0, fixings={}, gap=gap, cuts=[]))
+            queue.push(Node(depth=i, fixings={}, gap=gap, cuts=[]))
         order = []
         while len(queue):
-            order.append(queue.pop().id)
+            order.append(queue.pop().depth)
         return order
 
     def test_depth_pops_newest_first(self):
@@ -117,8 +118,8 @@ class TestQueue:
 
     def test_pops_interleave_with_pushes(self):
         queue = _Queue("depth")
-        nodes = [Node(id=i, parent=-1, depth=0, fixings={}, gap=0.0, cuts=[])
-                 for i in range(3)]
+        # distinct depths keep the nodes unequal under the dataclass ==
+        nodes = [Node(depth=i, fixings={}, gap=0.0, cuts=[]) for i in range(3)]
         queue.push(nodes[0])
         queue.push(nodes[1])
         assert queue.pop() is nodes[1]
@@ -244,26 +245,29 @@ class TestSchedules:
     def test_ec_iterations_are_multiples_of_n(self):
         inst = generate(GeneratorSpec(family="KP", p=2, seed=5, items=10))
         _, _, stats = solve(inst, SolverConfig(warmstart=True, ec_enabled=True,
-                                               node_selection="lhg"))
+                                               node_selection="lhg", trace=True))
         n = inst.n
-        assert stats.ec_iterations
-        for it in stats.ec_iterations:
+        ec_iterations = [r["iteration"] for r in stats.trace if r["ec"]]
+        assert ec_iterations
+        for it in ec_iterations:
             assert it % n == 0 and it <= inst.p * n * n
 
     def test_slb_triggers_only_at_multiples_of_level(self):
         inst = generate(GeneratorSpec(family="KP", p=2, seed=6, items=12))
         _, _, stats = solve(inst, SolverConfig(slb_enabled=True, slb_level=3,
-                                               refine_max=5))
-        assert stats.slb_depths
-        for _, depth in stats.slb_depths:
+                                               refine_max=5, trace=True))
+        slb_depths = [r["depth"] for r in stats.trace if r["slb"]]
+        assert slb_depths
+        for depth in slb_depths:
             assert depth >= 3 and depth % 3 == 0
 
     def test_te_triggers_exactly_at_threshold(self):
         inst = generate(GeneratorSpec(family="KP", p=2, seed=8, items=14))
         cfg = SolverConfig(te_enabled=True, te_threshold=10, trace=True)
         _, _, stats = solve(inst, cfg)
-        assert stats.te_iterations
-        for _, free in stats.te_iterations:
+        te_free = [r["free"] for r in stats.trace if r["outcome"] == "enumeration"]
+        assert te_free
+        for free in te_free:
             assert free <= 10
         # every traced node with few enough free variables was enumerated
         for rec in stats.trace:
@@ -281,6 +285,42 @@ class TestSchedules:
         inst = generate(GeneratorSpec(family="KP", p=3, seed=9, items=12))
         points, _, _ = solve(inst, SolverConfig(te_enabled=True, refine_max=5))
         assert sorted(points) == oracle_front(inst)
+
+
+class TestTrace:
+    # SLB at even depths, an EC solve every 12th node, TE below 5 free
+    # variables: on this instance every outcome and every flag occurs
+    CFG = dict(node_selection="lhg", warmstart=True, ec_enabled=True,
+               slb_enabled=True, slb_level=2, te_enabled=True, te_threshold=4,
+               refine_max=5)
+
+    @staticmethod
+    def instance():
+        return generate(GeneratorSpec(family="KP", p=2, seed=3, items=12))
+
+    def test_one_record_per_node_and_counts_add_up(self):
+        _, _, stats = solve(self.instance(), SolverConfig(trace=True, **self.CFG))
+        assert len(stats.trace) == stats.nodes_explored
+        assert [r["iteration"] for r in stats.trace] == list(
+            range(1, stats.nodes_explored + 1))
+        outcomes = {}
+        for r in stats.trace:
+            assert set(r) == {"iteration", "depth", "free", "fixings",
+                              "outcome", "slb", "ec"}
+            assert r["free"] == 12 - len(r["fixings"])
+            outcomes[r["outcome"]] = outcomes.get(r["outcome"], 0) + 1
+        assert outcomes == {**stats.fathomed, "branched": stats.branched}
+        assert any(r["slb"] for r in stats.trace)
+        assert any(r["ec"] for r in stats.trace)
+
+    def test_untraced_run_counts_the_same(self):
+        inst = self.instance()
+        traced = solve(inst, SolverConfig(trace=True, **self.CFG))
+        untraced = solve(inst, SolverConfig(**self.CFG))
+        assert untraced[2].trace == []
+        assert untraced[0] == traced[0]
+        for key in ("nodes_explored", "branched", "fathomed", "ips"):
+            assert getattr(untraced[2], key) == getattr(traced[2], key)
 
 
 class TestConfigValidation:
@@ -301,14 +341,14 @@ class TestNoFalsePruning:
     def test_dominance_fathomed_subtrees_add_nothing(self):
         for seed in (1, 2, 3):
             inst = generate(GeneratorSpec(family="KP", p=2, seed=seed, items=10))
-            cfg = SolverConfig(collect_fathomed=True, refine_max=5)
+            cfg = SolverConfig(trace=True, refine_max=5)
             points, _, stats = solve(inst, cfg)
             front = set(points)
             from mobb.model import weakly_dominates
-            for fixings, cause in stats.fathom_log:
-                if cause != "dominance":
+            for rec in stats.trace:
+                if rec["outcome"] != "dominance":
                     continue
-                for s in enumerate_nondominated(inst, fixings):
+                for s in enumerate_nondominated(inst, rec["fixings"]):
                     assert any(weakly_dominates(f, s.image) for f in front)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import instances as inst_mod
 from .instances import GeneratorSpec, ParseError, generate, read_instance, write_instance
-from .model import ModelError, enumerate_nondominated
+from .model import DEFAULT_ENUM_CAP, ModelError, enumerate_nondominated
 from .solver import SolverConfig, solve
 
 BENCH_HEADER = ["approach", "instance", "nodes", "time_s", "ips", "solved", "frontier"]
@@ -94,10 +94,13 @@ def _fixings(text: str) -> dict:
     for part in text.split(","):
         j, _, v = part.partition("=")
         try:
-            fixings[int(j)] = int(v)
+            j, v = int(j), int(v)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected comma separated j=v pairs, got {part!r}") from None
+        if j in fixings:
+            raise argparse.ArgumentTypeError(f"index {j} fixed more than once")
+        fixings[j] = v
     return fixings
 
 
@@ -233,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="brute-force frontier")
     p_oracle.add_argument("instance")
     p_oracle.add_argument("--fix", type=_fixings, help="comma separated j=v fixings")
-    p_oracle.add_argument("--cap", type=int, default=25)
+    p_oracle.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
+                          help="refuse to enumerate more free variables than this "
+                               "(default: %(default)s)")
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_gen = sub.add_parser("generate", help="generate a benchmark instance")

@@ -214,14 +214,10 @@ class _NodeLP:
         # rows with no free support must hold outright
         empty = np.all(np.abs(Af) <= 1e-12, axis=1)
         self.infeasible = bool(np.any(b[empty] < -_FEAS_TOL))
-        Af = Af[~empty]
-        bf = b[~empty]
+        self.Af = Af[~empty]
+        self.bf = b[~empty]
         # fractional knapsack: one nonnegative row plus box bounds
-        self.knapsack = len(Af) == 1 and bool(np.all(Af[0] >= 0))
-        # box: x_j <= 1 for free variables
-        k = len(self.free)
-        self.A = np.vstack([Af, np.eye(k)])
-        self.b = np.concatenate([bf, np.ones(k)])
+        self.knapsack = len(self.Af) == 1 and bool(np.all(self.Af[0] >= 0))
         self.tableau = None
 
     def fixed_point(self) -> np.ndarray:
@@ -232,7 +228,12 @@ class _NodeLP:
     def simplex(self, cf) -> _Tableau:
         """The tableau reoptimized for min cf.y, or None if infeasible."""
         if self.tableau is None:
-            self.tableau = _Tableau.phase1(self.A, self.b)
+            # box: x_j <= 1 for free variables; the knapsack greedy never
+            # needs these rows, so they are built only here
+            k = len(self.free)
+            A = np.vstack([self.Af, np.eye(k)])
+            b = np.concatenate([self.bf, np.ones(k)])
+            self.tableau = _Tableau.phase1(A, b)
             if self.tableau is None:
                 self.infeasible = True
                 return None
@@ -289,7 +290,7 @@ def solve_lp(sub: RelaxedSubproblem, c) -> LpResult:
         return LpResult(status=OPTIMAL, value=offset, x=x_full)
     cf = c[lp.free]
     if lp.knapsack:
-        y = _greedy_knapsack_lp(cf, lp.A[0], lp.b[0])
+        y = _greedy_knapsack_lp(cf, lp.Af[0], lp.bf[0])
         if y is None:
             return LpResult(status=INFEASIBLE)
         x_full[lp.free] = y

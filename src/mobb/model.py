@@ -189,21 +189,6 @@ def is_feasible(instance: Instance, x) -> bool:
     return True
 
 
-def _pareto_filter_lex(images):
-    """Nondominated subset of a lex-sorted list of distinct integer tuples.
-
-    In lexicographic order a point can only be weakly dominated by an earlier
-    one, so a single forward sweep against the running front suffices.
-    """
-    front = []
-    for y in images:
-        ya = np.asarray(y)
-        if any(np.all(np.asarray(f) <= ya) for f in front):
-            continue
-        front.append(y)
-    return front
-
-
 def enumerate_nondominated(instance: Instance, fixings=None, cap: int = DEFAULT_ENUM_CAP):
     """Brute-force oracle: nondominated points over all feasible completions.
 
@@ -226,11 +211,14 @@ def enumerate_nondominated(instance: Instance, fixings=None, cap: int = DEFAULT_
     for j, v in fixings.items():
         base[j] = v
 
-    best_x = {}  # image tuple -> first (lex-smallest) x
+    # Distinct images of each chunk with the first x that reaches them.
+    images, xs = [], []
     chunk_bits = min(nfree, 16)
     total = 1 << nfree
     step = 1 << chunk_bits
-    # Bit i of the counter drives free[i]; counting order equals lex order on x.
+    # Bit i of the counter drives free[i]; counting order equals lex order on x,
+    # so np.unique's first index of an image is its lex-smallest x, within a
+    # chunk and, chunks being stacked in order, across them.
     shifts = np.array([nfree - 1 - i for i in range(nfree)], dtype=np.uint64)
     for start in range(0, total, step):
         idx = np.arange(start, min(start + step, total), dtype=np.uint64)
@@ -240,16 +228,26 @@ def enumerate_nondominated(instance: Instance, fixings=None, cap: int = DEFAULT_
             X[:, free] = bits.astype(np.int64)
         feas = np.all(X @ A_le.T <= b_le, axis=1)
         Xf = X[feas]
-        imgs = Xf @ instance.C.T
-        for x, y in zip(Xf, imgs):
-            key = tuple(int(v) for v in y)
-            if key not in best_x:
-                best_x[key] = tuple(int(v) for v in x)
-    if not best_x:
+        if len(Xf):
+            Y, first = np.unique(Xf @ instance.C.T, axis=0, return_index=True)
+            images.append(Y)
+            xs.append(Xf[first])
+    if not images:
         return []
-    images = sorted(best_x)
-    front = _pareto_filter_lex(images)
-    return [Solution(x=best_x[y], image=y) for y in front]
+    Y, first = np.unique(np.concatenate(images), axis=0, return_index=True)
+    X = np.concatenate(xs)[first]
+
+    # Lexicographic skyline (Kung, Luccio & Preparata 1975): in lex order a
+    # point can only be weakly dominated by an earlier one, so the first row
+    # left is nondominated, and it removes every later row it weakly dominates.
+    front = []
+    rest = np.arange(len(Y))
+    while len(rest):
+        i, rest = rest[0], rest[1:]
+        front.append(i)
+        rest = rest[np.any(Y[rest] < Y[i], axis=1)]
+    return [Solution(x=tuple(X[i].tolist()), image=tuple(Y[i].tolist()))
+            for i in front]
 
 
 def ideal_and_nadir(points):

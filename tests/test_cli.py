@@ -8,10 +8,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mobb.cli import (APPROACHES, BENCH_HEADER, PROFILE_HEADER,
-                      approach_config, main, profile_rows, run_bench)
+                      approach_config, build_parser, main, profile_rows,
+                      run_bench)
 from mobb.instances import (GeneratorSpec, ParseError, generate, read_instance,
                             write_instance)
-from mobb.model import ModelError
+from mobb.model import DEFAULT_ENUM_CAP, ModelError
 
 
 @pytest.fixture
@@ -125,6 +126,17 @@ class TestOracleCommand:
             main(["oracle", str(kp_file), "--fix", fix])
         assert exc.value.code == 2
         assert "argument --fix" in capsys.readouterr().err
+
+    def test_repeated_fixing_index_named(self, kp_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", str(kp_file), "--fix", "0=1,0=0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --fix" in err and "index 0 fixed more than once" in err
+
+    def test_cap_defaults_to_model_constant(self, kp_file):
+        args = build_parser().parse_args(["oracle", str(kp_file)])
+        assert args.cap == DEFAULT_ENUM_CAP
 
     def test_out_of_range_fixing_is_clean_error(self, kp_file, capsys):
         assert main(["oracle", str(kp_file), "--fix", "99=1"]) == 2

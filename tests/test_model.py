@@ -5,9 +5,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobb.model import (Dominance, Instance, ModelError, Solution, compare,
-                        dominates, enumerate_nondominated, evaluate,
-                        ideal_and_nadir, is_feasible, weakly_dominates)
+from mobb.model import (DEFAULT_ENUM_CAP, Dominance, Instance, ModelError,
+                        Solution, compare, dominates, enumerate_nondominated,
+                        evaluate, ideal_and_nadir, is_feasible,
+                        weakly_dominates)
+
+
+def _enumerate_scalar(instance, fixings=None, cap=DEFAULT_ENUM_CAP):
+    """Reference for enumerate_nondominated: the same feasible rows, then one
+    dict entry per image, filled row by row, and a forward Pareto sweep over
+    the sorted images against the running front."""
+    fixings = dict(fixings or {})
+    n = instance.n
+    for j, v in fixings.items():
+        if not 0 <= j < n or v not in (0, 1):
+            raise ModelError(f"bad fixing {j}:{v}")
+    free = [j for j in range(n) if j not in fixings]
+    nfree = len(free)
+    if nfree > cap:
+        raise ModelError(f"{nfree} free variables exceed enumeration cap {cap}")
+
+    A_le, b_le = instance.le_normalized()
+    base = np.zeros(n, dtype=np.int64)
+    for j, v in fixings.items():
+        base[j] = v
+
+    best_x = {}  # image tuple -> first (lex-smallest) x
+    chunk_bits = min(nfree, 16)
+    total = 1 << nfree
+    step = 1 << chunk_bits
+    shifts = np.array([nfree - 1 - i for i in range(nfree)], dtype=np.uint64)
+    for start in range(0, total, step):
+        idx = np.arange(start, min(start + step, total), dtype=np.uint64)
+        bits = (idx[:, None] >> shifts[None, :]) & 1
+        X = np.tile(base, (len(idx), 1))
+        if nfree:
+            X[:, free] = bits.astype(np.int64)
+        feas = np.all(X @ A_le.T <= b_le, axis=1)
+        Xf = X[feas]
+        imgs = Xf @ instance.C.T
+        for x, y in zip(Xf, imgs):
+            key = tuple(int(v) for v in y)
+            if key not in best_x:
+                best_x[key] = tuple(int(v) for v in x)
+    front = []
+    for y in sorted(best_x):
+        if any(all(a <= b for a, b in zip(f, y)) for f in front):
+            continue
+        front.append(y)
+    return [Solution(x=best_x[y], image=y) for y in front]
 
 
 def tiny_kp():
@@ -157,6 +203,50 @@ class TestEnumerateNondominated:
             if is_feasible(inst, x):
                 y = tuple(int(v) for v in evaluate(inst, x))
                 assert any(weakly_dominates(f, y) for f in front)
+
+    def test_cross_chunk_tie_keeps_lex_smallest_x(self):
+        # x = 0, x0 = 1 and x16 = 1 all reach the image (0, 0); x0 drives the
+        # top counter bit, so x0 = 1 lies in the second 2**16-row chunk
+        C = np.zeros((2, 17), dtype=int)
+        C[:, 1:16] = 1
+        inst = Instance(C=C, A=np.ones((1, 17), dtype=int), b=[17],
+                        senses=("le",))
+        sols = enumerate_nondominated(inst)
+        assert [(s.x, s.image) for s in sols] == [((0,) * 17, (0, 0))]
+        assert sols == _enumerate_scalar(inst)
+
+    @staticmethod
+    def _check_against_scalar(seed, p, nfree, nfix, senses):
+        # eq rows and negative right-hand sides give infeasible instances
+        n = nfree + nfix
+        rng = np.random.default_rng(seed)
+        m = len(senses)
+        inst = Instance(C=rng.integers(-3, 4, (p, n)),
+                        A=rng.integers(-2, 6, (m, n)),
+                        b=rng.integers(-2, 2 * n + 1, m), senses=tuple(senses))
+        fixed = rng.permutation(n)[:nfix]
+        fixings = {int(j): int(rng.integers(0, 2)) for j in fixed}
+        got = enumerate_nondominated(inst, fixings)
+        assert got == _enumerate_scalar(inst, fixings)
+        for s in got:
+            assert all(type(v) is int for v in s.x + s.image)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 12),
+           st.integers(0, 6),
+           st.lists(st.sampled_from(("le", "ge", "eq")), min_size=1, max_size=3))
+    def test_matches_scalar_reference(self, seed, p, nfree, nfix, senses):
+        # at least one variable
+        self._check_against_scalar(seed, p, nfree, max(nfix, 1 - nfree), senses)
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(17, 18),
+           st.integers(0, 1),
+           st.lists(st.sampled_from(("le", "ge", "eq")), min_size=1, max_size=3))
+    def test_matches_scalar_reference_across_chunks(self, seed, p, nfree, nfix,
+                                                    senses):
+        # 17 or 18 free variables span two or four 2**16-row chunks; n <= 18
+        self._check_against_scalar(seed, p, nfree, min(nfix, 18 - nfree), senses)
 
 
 class TestIdealAndNadir:

@@ -34,13 +34,14 @@ class ScalarResult:
 
 
 def _fractional_var(x, free):
-    """Most fractional free variable, or -1 if x is integral on the free set."""
-    best, best_frac = -1, _INT_TOL
-    for j in free:
-        frac = abs(x[j] - round(x[j]))
-        if frac > best_frac:
-            best, best_frac = j, frac
-    return best
+    """Most fractional free variable, the first of equals, or -1 if x is
+    integral on the free set. np.round rounds half to even, as round does."""
+    if not len(free):
+        return -1
+    xf = x[free]
+    frac = np.abs(xf - np.round(xf))
+    k = int(np.argmax(frac))
+    return free[k] if frac[k] > _INT_TOL else -1
 
 
 def solve_single_objective(sub: RelaxedSubproblem, c, time_limit: float = math.inf,
@@ -58,7 +59,7 @@ def solve_single_objective(sub: RelaxedSubproblem, c, time_limit: float = math.i
 
     best_val = math.inf
     best_x = None
-    heap = []     # (LP bound, seq, fixings, branching variable)
+    heap = []     # (LP bound, seq, subproblem, branching variable)
     seq = 0
 
     def push(node_sub, res):
@@ -72,15 +73,15 @@ def solve_single_objective(sub: RelaxedSubproblem, c, time_limit: float = math.i
                 best_val = val
                 best_x = tuple(int(v) for v in xr)
             return
-        # the fixings, not the subproblem: its tableau is not needed again
-        heapq.heappush(heap, (res.value, seq, node_sub.fixings, j))
+        # the subproblem keeps its optimal tableau for its children
+        heapq.heappush(heap, (res.value, seq, node_sub, j))
         seq += 1
 
     push(sub, root)
     global_bound = root.value
     expanded = 0
     while heap:
-        bound, _, fixings, j = heap[0]
+        bound, _, node_sub, j = heap[0]
         global_bound = bound
         if bound >= best_val - 1e-9:
             return ScalarResult(status=STATUS_OPTIMAL, solution=best_x,
@@ -92,8 +93,7 @@ def solve_single_objective(sub: RelaxedSubproblem, c, time_limit: float = math.i
         expanded += 1
         heapq.heappop(heap)
         for v in (0, 1):
-            child = RelaxedSubproblem(sub.instance, {**fixings, j: v},
-                                      list(sub.cut_rows))
+            child = node_sub.branch(j, v)
             res = solve_lp(child, c)
             if res.status == OPTIMAL and res.value < best_val - 1e-9:
                 push(child, res)
@@ -132,6 +132,7 @@ def solve_econstraint(sub: RelaxedSubproblem, k: int, eps, time_limit: float = m
     min sum z_i under the stage-1 cap. Returns (result, n_ip_solves).
 
     An optimal stage-2 solution is efficient for the underlying problem.
+    ``time_limit`` bounds both stages together.
     """
     inst = sub.instance
     p = inst.p
@@ -141,6 +142,7 @@ def solve_econstraint(sub: RelaxedSubproblem, k: int, eps, time_limit: float = m
     others = [i for i in range(p) if i != k]
     # z_i <= e  as  -C_i x >= -e
     caps = [(-inst.C[i].astype(float), -float(e)) for i, e in zip(others, eps)]
+    deadline = time.monotonic() + time_limit
     stage1 = RelaxedSubproblem(inst, dict(sub.fixings), sub.cut_rows + caps)
     res1 = solve_single_objective(stage1, inst.C[k].astype(float), time_limit)
     if res1.status == STATUS_INFEASIBLE:
@@ -151,7 +153,7 @@ def solve_econstraint(sub: RelaxedSubproblem, k: int, eps, time_limit: float = m
     stage2 = RelaxedSubproblem(inst, dict(stage1.fixings), stage1.cut_rows
                                + [(-inst.C[k].astype(float), -float(cap))])
     c2 = inst.C.sum(axis=0).astype(float)
-    res2 = solve_single_objective(stage2, c2, time_limit)
+    res2 = solve_single_objective(stage2, c2, deadline - time.monotonic())
     if res2.status in (STATUS_INFEASIBLE, STATUS_NO_SOLUTION_TIMEOUT):
         # stage-1 incumbent is still feasible for the e-constraint problem
         return ScalarResult(status=STATUS_FEASIBLE_TIMEOUT, solution=res1.solution,

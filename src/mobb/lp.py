@@ -3,6 +3,7 @@ frontier of the linear relaxation."""
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -47,13 +48,27 @@ class RelaxedSubproblem:
     instance: Instance
     fixings: dict = field(default_factory=dict)
     cut_rows: list = field(default_factory=list)       # [(np.ndarray a, rhs)]
+    _lp: "_NodeLP" = field(default=None, init=False, repr=False, compare=False)
 
     def free_vars(self):
         return [j for j in range(self.instance.n) if j not in self.fixings]
 
-    @functools.cached_property
+    @property
     def lp(self) -> "_NodeLP":
-        return _NodeLP(self)
+        if self._lp is None:
+            self._lp = _NodeLP(self)
+        return self._lp
+
+    def branch(self, j: int, v: int) -> "RelaxedSubproblem":
+        """The child with x_j fixed to v. When this subproblem's LP has a
+        simplex tableau, the child's LP starts from it (``_NodeLP.branch``);
+        otherwise it is built afresh."""
+        child = RelaxedSubproblem(self.instance, {**self.fixings, j: v},
+                                  list(self.cut_rows))
+        lp = self._lp
+        if lp is not None and lp.tableau is not None and not lp.knapsack:
+            child._lp = lp.branch(j, v)
+        return child
 
 
 def _pivot(T, basis, r, j):
@@ -100,6 +115,48 @@ def _optimize(T, basis, ncols):
             leave = int(tie[np.argmin(basis[tie])])
         else:
             leave = int(tie[0])
+        _pivot(T, basis, leave, entering)
+
+
+def _dual_optimize(T, basis, ncols):
+    """Dual simplex from a dual feasible basis: the reduced costs in T's last
+    row are nonnegative on the first ``ncols`` columns, and some basic values
+    may be negative (Koberstein 2005, ch. 3). Returns OPTIMAL once every basic
+    value is nonnegative, or INFEASIBLE when a leaving row has no negative
+    entry to pivot on."""
+    rows = T[:-1]
+    degenerate = 0
+    while True:
+        rhs = rows[:, -1]
+        use_bland = degenerate > _BLAND_AFTER
+        if use_bland:
+            cands = np.flatnonzero(rhs < -_PIVOT_TOL)
+            if not len(cands):
+                return OPTIMAL
+            leave = int(cands[np.argmin(basis[cands])])
+        else:
+            leave = int(np.argmin(rhs))
+            if rhs[leave] >= -_PIVOT_TOL:
+                return OPTIMAL
+        row = rows[leave, :ncols]
+        neg = row < -_PIVOT_TOL
+        if not neg.any():
+            if rhs[leave] < -_FEAS_TOL:
+                return INFEASIBLE
+            # feasible within phase 1's tolerance: the rest is rounding noise
+            rows[leave, -1] = 0.0
+            continue
+        d = np.maximum(T[-1, :ncols], 0.0)
+        ratios = np.where(neg, d / np.where(neg, -row, 1.0), np.inf)
+        rmin = float(ratios.min())
+        if rmin <= _PIVOT_TOL:
+            degenerate += 1
+        tie = np.flatnonzero(ratios - rmin <= 1e-12)
+        if use_bland or len(tie) == 1:
+            entering = int(tie[0])
+        else:
+            # the largest pivot element among the ties, for stability
+            entering = int(tie[np.argmin(row[tie])])
         _pivot(T, basis, leave, entering)
 
 
@@ -169,14 +226,17 @@ class _Tableau:
     def with_row(self, a, rhs) -> "_Tableau":
         """A copy with the row a.y <= rhs appended and its slack basic.
 
-        The copy is primal feasible when the current point satisfies the row;
-        its objective row is left for the next ``optimize``.
+        The copy keeps the reduced costs, so it stays dual feasible when this
+        tableau is optimal; it is primal feasible when the current point
+        satisfies the row.
         """
         m = len(self.basis)
         w = self.T.shape[1]
         T = np.zeros((m + 2, w + 1))
         T[:m, :w - 1] = self.T[:m, :-1]
         T[:m, -1] = self.T[:m, -1]
+        T[-1, :w - 1] = self.T[-1, :-1]
+        T[-1, -1] = self.T[-1, -1]
         row = np.zeros(w + 1)
         row[:self.nv] = a
         row[w - 1] = 1.0
@@ -191,7 +251,8 @@ class _NodeLP:
 
     Only the first simplex solve runs phase 1. Later objectives start phase 2
     from the last optimal basis, which stays primal feasible because only the
-    objective changes (Chvatal 1983, ch. 10).
+    objective changes (Chvatal 1983, ch. 10). A child made by ``branch`` needs
+    no phase 1 either: it starts from its parent's tableau.
     """
 
     def __init__(self, sub: RelaxedSubproblem):
@@ -205,12 +266,13 @@ class _NodeLP:
             rhs.append(np.array([-float(r)]))
         A = np.vstack(rows)
         b = np.concatenate(rhs)
-        self.free = np.asarray(sub.free_vars(), dtype=np.int64)
+        # the tableau's structural columns: the variables free at build time
+        self.cols = np.asarray(sub.free_vars(), dtype=np.int64)
         self.fixed_idx = np.asarray(sorted(sub.fixings), dtype=np.int64)
         self.xf = np.asarray([sub.fixings[j] for j in self.fixed_idx], dtype=float)
         if len(self.fixed_idx):
             b = b - A[:, self.fixed_idx] @ self.xf
-        Af = A[:, self.free]
+        Af = A[:, self.cols]
         # rows with no free support must hold outright
         empty = np.all(np.abs(Af) <= 1e-12, axis=1)
         self.infeasible = bool(np.any(b[empty] < -_FEAS_TOL))
@@ -219,24 +281,54 @@ class _NodeLP:
         # fractional knapsack: one nonnegative row plus box bounds
         self.knapsack = len(self.Af) == 1 and bool(np.all(self.Af[0] >= 0))
         self.tableau = None
+        # fixings held by appended rows instead of substituted (see branch),
+        # and the rows the next simplex solve appends
+        self.row_idx = np.empty(0, dtype=np.int64)
+        self.row_x = np.empty(0)
+        self.pending_rows = []
 
-    def fixed_point(self) -> np.ndarray:
+    def full_x(self, y) -> np.ndarray:
+        """The n-vector with ``y`` on the columns and every fixing exact."""
         x = np.zeros(self.n)
         x[self.fixed_idx] = self.xf
+        x[self.cols] = y
+        x[self.row_idx] = self.row_x
         return x
+
+    def branch(self, j: int, v: int) -> "_NodeLP":
+        """The LP of the child with x_j fixed to v. Its first ``simplex``
+        copies this node's tableau, as the last solve left it, with the row
+        x_j <= 0 (v = 0) or -x_j <= -1 (v = 1) appended; x_j stays a column.
+        The copy keeps the reduced costs, so it starts dual feasible, and a
+        dual simplex restores primal feasibility instead of phase 1."""
+        child = copy.copy(self)
+        a = np.zeros(self.tableau.nv)
+        a[np.searchsorted(self.cols, j)] = 1.0 if v == 0 else -1.0
+        child.pending_rows = self.pending_rows + [(a, -float(v))]
+        child.row_idx = np.append(self.row_idx, j)
+        child.row_x = np.append(self.row_x, float(v))
+        return child
 
     def simplex(self, cf) -> _Tableau:
         """The tableau reoptimized for min cf.y, or None if infeasible."""
         if self.tableau is None:
             # box: x_j <= 1 for free variables; the knapsack greedy never
             # needs these rows, so they are built only here
-            k = len(self.free)
+            k = len(self.cols)
             A = np.vstack([self.Af, np.eye(k)])
             b = np.concatenate([self.bf, np.ones(k)])
             self.tableau = _Tableau.phase1(A, b)
-            if self.tableau is None:
-                self.infeasible = True
-                return None
+        elif self.pending_rows:
+            tab = self.tableau
+            for a, rhs in self.pending_rows:
+                tab = tab.with_row(a, rhs)
+            self.pending_rows = []
+            self.tableau = tab
+            if _dual_optimize(tab.T, tab.basis, tab.T.shape[1] - 1) == INFEASIBLE:
+                self.tableau = None
+        if self.tableau is None:
+            self.infeasible = True
+            return None
         if self.tableau.optimize(cf) == UNBOUNDED:
             raise ModelError("unbounded LP over a boxed binary relaxation")
         return self.tableau
@@ -284,23 +376,21 @@ def solve_lp(sub: RelaxedSubproblem, c) -> LpResult:
     lp = sub.lp
     if lp.infeasible:
         return LpResult(status=INFEASIBLE)
-    x_full = lp.fixed_point()
     offset = float(c[lp.fixed_idx] @ lp.xf)
-    if not len(lp.free):
-        return LpResult(status=OPTIMAL, value=offset, x=x_full)
-    cf = c[lp.free]
+    if not len(lp.cols):
+        return LpResult(status=OPTIMAL, value=offset, x=lp.full_x(0.0))
+    cf = c[lp.cols]
     if lp.knapsack:
         y = _greedy_knapsack_lp(cf, lp.Af[0], lp.bf[0])
         if y is None:
             return LpResult(status=INFEASIBLE)
-        x_full[lp.free] = y
-        return LpResult(status=OPTIMAL, value=float(cf @ y) + offset, x=x_full)
+        return LpResult(status=OPTIMAL, value=float(cf @ y) + offset, x=lp.full_x(y))
     tab = lp.simplex(cf)
     if tab is None:
         return LpResult(status=INFEASIBLE)
     value, y = tab.point()
-    x_full[lp.free] = np.clip(y, 0.0, 1.0)
-    return LpResult(status=OPTIMAL, value=value + offset, x=x_full)
+    return LpResult(status=OPTIMAL, value=value + offset,
+                    x=lp.full_x(np.clip(y, 0.0, 1.0)))
 
 
 def _lexmin(sub: RelaxedSubproblem, k: int, j: int):
@@ -318,15 +408,14 @@ def _lexmin(sub: RelaxedSubproblem, k: int, j: int):
     vk = res.value
     lp = sub.lp
     x = res.x
-    if len(lp.free):
-        a = ck[lp.free]
+    if len(lp.cols):
+        a = ck[lp.cols]
         cap = vk + _LEX_CAP - float(ck[lp.fixed_idx] @ lp.xf)
         # already optimal for z_k, with no pivot, unless the knapsack greedy
         # answered stage 1; then this builds the tableau
         capped = lp.simplex(a).with_row(a, cap)
-        capped.optimize(inst.C[j, lp.free].astype(float))
-        x = lp.fixed_point()
-        x[lp.free] = np.clip(capped.point()[1], 0.0, 1.0)
+        capped.optimize(inst.C[j, lp.cols].astype(float))
+        x = lp.full_x(np.clip(capped.point()[1], 0.0, 1.0))
     return vk, inst.C @ x, x
 
 

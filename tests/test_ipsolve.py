@@ -1,12 +1,18 @@
 """Tests for the single-objective branch and bound and both scalarizations."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mobb.ipsolve import (STATUS_FEASIBLE_TIMEOUT, STATUS_INFEASIBLE,
+import mobb.ipsolve
+from mobb.instances import GeneratorSpec, generate
+from mobb.ipsolve import (_INT_TOL, STATUS_FEASIBLE_TIMEOUT, STATUS_INFEASIBLE,
                           STATUS_NO_SOLUTION_TIMEOUT, STATUS_OPTIMAL,
-                          solve_econstraint, solve_single_objective,
-                          solve_weighted_sum_ip)
+                          _fractional_var, solve_econstraint,
+                          solve_single_objective, solve_weighted_sum_ip)
 from mobb.lp import RelaxedSubproblem, augmented_unit_weights
 from mobb.model import Instance
 
@@ -59,6 +65,34 @@ class TestSingleObjective:
                        if inst.A[0] @ np.array([(b >> k) & 1
                                                 for k in range(10)]) <= inst.b[0])
             assert res.value == pytest.approx(best)
+
+
+def _fractional_var_loop(x, free):
+    """Reference: the first free variable of largest fractionality."""
+    best, best_frac = -1, _INT_TOL
+    for j in free:
+        frac = abs(x[j] - round(x[j]))
+        if frac > best_frac:
+            best, best_frac = j, frac
+    return best
+
+
+class TestFractionalVar:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0, 0.5, 1.5, -0.5, 2.5, 0.25, 0.75,
+                                     1e-7, 1.0 - 1e-7, 2e-6, 1.0 - 2e-6, 0.3,
+                                     0.7]), min_size=1, max_size=12),
+           st.randoms(use_true_random=False))
+    def test_matches_loop(self, values, random):
+        x = np.array(values)
+        free = sorted(random.sample(range(len(x)), random.randint(0, len(x))))
+        assert _fractional_var(x, free) == _fractional_var_loop(x, free)
+
+    def test_first_of_ties_and_integral(self):
+        x = np.array([0.0, 0.5, 1.0, 0.5, 0.5])
+        assert _fractional_var(x, [0, 2, 3, 4]) == 3
+        assert _fractional_var(x, [0, 2]) == -1
+        assert _fractional_var(x, []) == -1
 
 
 class TestWeightedSum:
@@ -126,6 +160,26 @@ class TestEConstraint:
             assert res.status == STATUS_OPTIMAL
             img = tuple(int(v) for v in inst.C @ np.asarray(res.solution))
             assert img in front
+
+
+    def test_time_limit_covers_both_stages(self, monkeypatch):
+        # a fake clock that advances 50 ms per reading; stage 1 times out,
+        # and stage 2 gets only what is left of the one limit. With the full
+        # limit for each stage the call took 2.15 s on this clock.
+        now = [0.0]
+
+        def monotonic():
+            now[0] += 0.05
+            return now[0]
+
+        monkeypatch.setattr(mobb.ipsolve, "time", SimpleNamespace(monotonic=monotonic))
+        inst = generate(GeneratorSpec(family="KP", p=2, seed=1, items=30))
+        res, n_ips = solve_econstraint(RelaxedSubproblem(inst), k=0,
+                                       eps=[10**6], time_limit=1.0)
+        assert n_ips == 2
+        assert res.status == STATUS_FEASIBLE_TIMEOUT
+        # a few readings past the limit, as a single-stage solve overruns
+        assert now[0] < 1.5
 
 
 class TestAugmentedUnitWeights:

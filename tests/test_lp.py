@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mobb.lp
 from mobb.bounds import LowerBoundSet
 from mobb.instances import GeneratorSpec, generate
 from mobb.lp import (_FACET_TOL, INFEASIBLE, OPTIMAL, InfeasibleSubproblem,
@@ -87,6 +88,142 @@ class TestSolveLp:
         sub = RelaxedSubproblem(inst, cut_rows=[(np.array([1.0, 0.0]), 1.0)])
         res = solve_lp(sub, np.array([1.0, 0.0]))
         assert res.value == pytest.approx(1.0)
+
+
+def _level_cut(inst, rng):
+    """A cut lam.Cx >= rhs at a random height that keeps the root feasible;
+    it also takes a knapsack off the greedy path and onto the simplex."""
+    lam = rng.random(inst.p) + 0.05
+    a = lam / lam.sum() @ inst.C
+    lo = solve_lp(RelaxedSubproblem(inst), a).value
+    hi = -solve_lp(RelaxedSubproblem(inst), -a).value
+    return [(a, lo + float(rng.uniform(0.0, 0.9)) * (hi - lo))]
+
+
+CHAIN_SPECS = [
+    GeneratorSpec(family="GAP", p=2, seed=5, agents=3, jobs=4),
+    GeneratorSpec(family="UFLP", p=2, seed=5, facilities=2, customers=4),
+    GeneratorSpec(family="CFLP", p=2, seed=5, facilities=3, customers=3),
+    GeneratorSpec(family="KP", p=2, seed=5, items=12),
+]
+
+
+class TestWarmChildren:
+    """``RelaxedSubproblem.branch`` children start from the parent's optimal
+    tableau and must solve as a freshly built subproblem does."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, len(CHAIN_SPECS) - 1), st.integers(0, 10_000))
+    def test_chain_matches_fresh(self, family, seed):
+        inst = generate(CHAIN_SPECS[family])
+        rng = np.random.default_rng(seed)
+        cuts = _level_cut(inst, rng) if inst.m == 1 else []
+        objectives = [rng.random(inst.p) @ inst.C,
+                      rng.integers(-20, 21, inst.n).astype(float)]
+        sub = RelaxedSubproblem(inst, {}, cuts)
+        assert solve_lp(sub, objectives[0]).status == OPTIMAL
+        warm = 0
+        while len(sub.free_vars()):
+            j = int(rng.choice(sub.free_vars()))
+            c = objectives[int(rng.random() < 0.3)]
+            feasible = []
+            for v in (0, 1):
+                child = sub.branch(j, v)
+                warm += child.lp.tableau is not None
+                got = solve_lp(child, c)
+                ref = solve_lp(RelaxedSubproblem(inst, dict(child.fixings), cuts), c)
+                assert got.status == ref.status
+                if got.status == INFEASIBLE:
+                    continue
+                assert abs(got.value - ref.value) <= 1e-7
+                assert got.x[j] == v
+                assert all(got.x[i] == u for i, u in child.fixings.items())
+                feasible.append(child)
+            if not feasible:
+                break
+            sub = feasible[int(rng.integers(len(feasible)))]
+        assert warm >= 2
+
+    @pytest.mark.parametrize("family", range(len(CHAIN_SPECS)))
+    def test_parent_objective_needs_no_primal_pivot(self, monkeypatch, family):
+        # the copy keeps the parent's reduced costs, so once the dual simplex
+        # is done the tableau is optimal for the parent's objective
+        primal_moves = []
+        optimize = mobb.lp._optimize
+
+        def watched(T, basis, ncols):
+            before = basis.copy()
+            status = optimize(T, basis, ncols)
+            primal_moves.append(not np.array_equal(before, basis))
+            return status
+
+        monkeypatch.setattr(mobb.lp, "_optimize", watched)
+        inst = generate(CHAIN_SPECS[family])
+        rng = np.random.default_rng(family)
+        cuts = _level_cut(inst, rng) if inst.m == 1 else []
+        c = rng.random(inst.p) @ inst.C
+        sub = RelaxedSubproblem(inst, {}, cuts)
+        solve_lp(sub, c)
+        solved = 0
+        while len(sub.free_vars()):
+            j = int(rng.choice(sub.free_vars()))
+            feasible = []
+            for v in (0, 1):
+                child = sub.branch(j, v)
+                primal_moves.clear()
+                if solve_lp(child, c).status == OPTIMAL:
+                    assert primal_moves == [False]
+                    feasible.append(child)
+                    solved += 1
+            if not feasible:
+                break
+            sub = feasible[int(rng.integers(len(feasible)))]
+        assert solved >= 4
+
+    def test_child_branched_before_its_solve(self):
+        # the grandchild appends both rows on its first solve
+        inst = generate(CHAIN_SPECS[0])
+        c = inst.C[0] + inst.C[1]
+        sub = RelaxedSubproblem(inst)
+        solve_lp(sub, c)
+        checked = 0
+        for j, k in ((0, 1), (2, 7), (5, 3)):
+            for v, u in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                grand = sub.branch(j, v).branch(k, u)
+                got = solve_lp(grand, c)
+                ref = solve_lp(RelaxedSubproblem(inst, {j: v, k: u}), c)
+                assert got.status == ref.status
+                if got.status == OPTIMAL:
+                    assert abs(got.value - ref.value) <= 1e-7
+                    assert (got.x[j], got.x[k]) == (v, u)
+                    checked += 1
+        assert checked >= 6
+
+    def test_heavy_item_fixed_in_is_infeasible(self):
+        # a knapsack with a loose level cut goes through the simplex; item 2
+        # alone outweighs the capacity
+        inst = Instance(C=[[-5, -4, -3], [-1, -2, -6]], A=[[4, 2, 9]], b=[6],
+                        senses=("le",))
+        sub = RelaxedSubproblem(inst, {}, [(np.ones(3), 0.0)])
+        c = np.array([-1.0, -1.0, -1.0])
+        assert solve_lp(sub, c).status == OPTIMAL
+        child = sub.branch(2, 1)
+        assert child.lp.tableau is not None
+        assert solve_lp(child, c).status == INFEASIBLE
+        assert solve_lp(child, c).status == INFEASIBLE
+        res = solve_lp(sub.branch(2, 0), c)
+        assert res.status == OPTIMAL
+        assert res.value == pytest.approx(-2.0)
+
+    def test_knapsack_parent_builds_children_fresh(self):
+        inst = Instance(C=[[-5, -4, -3], [-1, -2, -6]], A=[[4, 2, 9]], b=[6],
+                        senses=("le",))
+        sub = RelaxedSubproblem(inst)
+        solve_lp(sub, inst.C[0])
+        assert sub.lp.knapsack
+        child = sub.branch(0, 1)
+        assert child.lp.tableau is None
+        assert solve_lp(child, inst.C[0]).value == pytest.approx(-9.0)
 
 
 class TestGreedyKnapsackLp:

@@ -2,7 +2,9 @@
 
 Each subproblem solves a sequence of objectives on one RelaxedSubproblem, so
 every solve after the first starts phase 2 from the previous optimal basis,
-and both stages of the lexicographic minimum run on its tableau.
+and both stages of the lexicographic minimum run on its tableau. Chains of
+``RelaxedSubproblem.branch`` children start each solve from the parent's
+optimal tableau by dual simplex.
 """
 
 import numpy as np
@@ -112,3 +114,34 @@ def test_lexmin_stages_match_highs(spec):
             assert y[j] == pytest.approx(vj, abs=TOL)
             checked += 1
     assert checked >= 24
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
+def test_branch_chains_match_highs(spec):
+    inst = generate(spec)
+    rng = np.random.default_rng(13)
+    solved = infeasible = 0
+    for _, cuts in _subproblems(inst, rng, 8):
+        c = _objectives(inst, rng)[int(rng.integers(7))]
+        sub = RelaxedSubproblem(inst, {}, cuts)
+        if solve_lp(sub, c).status == INFEASIBLE:
+            continue
+        while len(sub.free_vars()):
+            j = int(rng.choice(sub.free_vars()))
+            feasible = []
+            for v in (0, 1):
+                child = sub.branch(j, v)
+                res = solve_lp(child, c)
+                status, value = _highs(inst, child.fixings, cuts, c)
+                assert res.status == status
+                if status == INFEASIBLE:
+                    infeasible += 1
+                    continue
+                solved += 1
+                assert res.value == pytest.approx(value, abs=TOL)
+                assert float(c @ res.x) == pytest.approx(res.value, abs=TOL)
+                feasible.append(child)
+            if not feasible:
+                break
+            sub = feasible[int(rng.integers(len(feasible)))]
+    assert solved >= 100 and infeasible >= 40

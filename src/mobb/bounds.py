@@ -231,22 +231,6 @@ def _maximal(points):
     return U[le.sum(axis=1) == 1]
 
 
-def brute_force_lubs(images, p: int, M: int):
-    """Grid-scan oracle for the local upper bound set (tests only)."""
-    import itertools
-
-    if not images:
-        return [tuple([M] * p)]
-    zs = [np.asarray(z, dtype=np.int64) for z in images]
-    axes = [sorted({int(z[k]) for z in zs} | {M}) for k in range(p)]
-    cands = []
-    for u in itertools.product(*axes):
-        ua = np.asarray(u, dtype=np.int64)
-        if not any(np.all(z < ua) for z in zs):
-            cands.append(ua)
-    return sorted(tuple(int(v) for v in u) for u in _maximal(cands))
-
-
 def default_big_m(C) -> int:
     """1 + the largest absolute objective row sum; exceeds any attainable value."""
     C = np.asarray(C)

@@ -367,6 +367,34 @@ def _greedy_knapsack_lp(c, w, cap):
     return y
 
 
+def _greedy_knapsack_rows(C, w, cap):
+    """``_greedy_knapsack_lp`` for every row of C at once, equal to it bit for
+    bit: one stable sort by ratio per row and one row-wise cumsum."""
+    if cap < -_FEAS_TOL:
+        return None
+    C = np.ascontiguousarray(C, dtype=float)
+    paying = w > _PIVOT_TOL
+    gain = C < -_PIVOT_TOL
+    paid = gain & paying
+    Y = (gain & ~paying).astype(float)
+    # the paid items of each row first, by ratio and then by index
+    ratio = np.where(paid, C / np.where(paying, w, 1.0), np.inf)
+    order = np.argsort(ratio, axis=1, kind="stable")
+    cum = np.cumsum(w[order], axis=1)
+    npaid = paid.sum(axis=1)
+    # w >= 0, so cum never falls and the items that fit are a prefix
+    nfull = np.minimum((cum <= float(cap) + 1e-12).sum(axis=1), npaid)
+    rows, pos = np.nonzero(np.arange(C.shape[1]) < nfull[:, None])
+    Y[rows, order[rows, pos]] = 1.0
+    r = np.flatnonzero(nfull < npaid)
+    f = nfull[r]
+    j = order[r, f]
+    frac = (float(cap) - np.where(f > 0, cum[r, f - 1], 0.0)) / w[j]
+    big = frac > _PIVOT_TOL
+    Y[r[big], j[big]] = frac[big]
+    return Y
+
+
 def solve_lp(sub: RelaxedSubproblem, c) -> LpResult:
     """min c.x over the subproblem's relaxation (0 <= x <= 1, fixings applied).
 
@@ -391,6 +419,26 @@ def solve_lp(sub: RelaxedSubproblem, c) -> LpResult:
     value, y = tab.point()
     return LpResult(status=OPTIMAL, value=value + offset,
                     x=lp.full_x(np.clip(y, 0.0, 1.0)))
+
+
+def _solve_lps(sub: RelaxedSubproblem, objs) -> list:
+    """``[solve_lp(sub, c) for c in objs]``, equal bit for bit. A knapsack
+    relaxation answers every row with one ``_greedy_knapsack_rows`` call; any
+    other goes through ``solve_lp`` row by row, in order, so warm starts take
+    the same pivots."""
+    lp = sub.lp
+    if lp.infeasible or not lp.knapsack or not len(objs):
+        return [solve_lp(sub, c) for c in objs]
+    objs = np.asarray(objs, dtype=float)
+    Y = _greedy_knapsack_rows(objs[:, lp.cols], lp.Af[0], lp.bf[0])
+    if Y is None:
+        return [LpResult(status=INFEASIBLE)] * len(objs)
+    results = []
+    for c, y in zip(objs, Y):
+        # each value from a fresh row, as solve_lp computes it
+        value = float(c[lp.cols] @ y) + float(c[lp.fixed_idx] @ lp.xf)
+        results.append(LpResult(status=OPTIMAL, value=value, x=lp.full_x(y)))
+    return results
 
 
 def _lexmin(sub: RelaxedSubproblem, k: int, j: int):
@@ -500,12 +548,18 @@ def _feasible_subsets(normals, rhs, combos):
     return combos[feas], verts[feas]
 
 
+def _first_occurrences(rows):
+    """{row rounded to 7 decimals, as a tuple: index of its first occurrence},
+    in order of first occurrence."""
+    first = {}
+    for i, key in enumerate(np.round(rows, 7).tolist()):
+        first.setdefault(tuple(key), i)
+    return first
+
+
 def _distinct(verts):
     """``verts`` without repeats at 7 decimals, first occurrences in order."""
-    if not len(verts):
-        return verts
-    _, idx = np.unique(np.round(verts, 7), axis=0, return_index=True)
-    return verts[np.sort(idx)]
+    return verts[list(_first_occurrences(verts).values())]
 
 
 def _region_vertices(normals, rhs, p):
@@ -565,11 +619,7 @@ class _OuterRegion:
             return
         active = np.abs(self.points[cut] @ normals[:a].T - rhs[:a]) <= 1e-6
         # each distinct active set once: many rows can share a degenerate vertex
-        cols = np.nonzero(active)[1].tolist()
-        sets, start = set(), 0
-        for count in active.sum(axis=1).tolist():
-            sets.add(tuple(cols[start:start + count]))
-            start += count
+        sets = {tuple(itertools.compress(range(a), row)) for row in active.tolist()}
         faces = {face + (a,) for s in sets
                  for face in itertools.combinations(s, self.p - 1)}
         keep = ~cut
@@ -577,8 +627,30 @@ class _OuterRegion:
         self.points = self.points[keep]
         if faces:
             subsets, points = _feasible_subsets(normals, rhs, np.array(list(faces)))
-            self.subsets = np.vstack([self.subsets, subsets])
-            self.points = np.vstack([self.points, points])
+            self.subsets = np.concatenate([self.subsets, subsets])
+            self.points = np.concatenate([self.points, points])
+
+
+def _vertex_weights(verts, normals, rhs):
+    """For each vertex, whether any plane is active there (|slack| <= 1e-6),
+    and the normalized sum of the active normals. The sums add the active rows
+    in plane order, starting from zero, as ``normals[active].sum(axis=0)``
+    does, so each row equals ``_normalize`` of that sum bit for bit."""
+    active = np.abs(verts @ normals.T - rhs[None, :]) <= 1e-6
+    counts = active.sum(axis=1)
+    rows, planes = np.nonzero(active)
+    # terms[i, t]: the t-th active normal of vertex i, or zeros
+    terms = np.zeros((len(verts), int(counts.max()), normals.shape[1]))
+    rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    terms[rows, rank] = normals[planes]
+    sums = np.zeros_like(verts)
+    for t in range(terms.shape[1]):
+        sums += terms[:, t]
+    has_active = counts > 0
+    lams = np.zeros_like(sums)
+    active_sums = sums[has_active]
+    lams[has_active] = active_sums / active_sums.sum(axis=1, keepdims=True)
+    return has_active, lams
 
 
 def _frontier_outer(sub: RelaxedSubproblem) -> LowerBoundSet:
@@ -589,7 +661,7 @@ def _frontier_outer(sub: RelaxedSubproblem) -> LowerBoundSet:
     weights = augmented_unit_weights(inst.p)
     Cf = inst.C.astype(float)
     objs = np.vstack([np.asarray(weights) @ Cf, Cf])
-    results = [solve_lp(sub, c) for c in objs]
+    results = _solve_lps(sub, objs)
     if any(r.status == INFEASIBLE for r in results):
         raise InfeasibleSubproblem(inst.name)
     hyperplanes, points, sols = [], [], []
@@ -606,11 +678,11 @@ def _frontier_outer(sub: RelaxedSubproblem) -> LowerBoundSet:
 
 
 def _dedupe_points(points, sols):
-    uniq = {}
-    for y, x in zip(points, sols):
-        uniq.setdefault(tuple(np.round(y, 7)), (y, x))
-    return ([uniq[k][0] for k in sorted(uniq)],
-            [uniq[k][1] for k in sorted(uniq)])
+    """The first of each repeated point at 7 decimals, with its solution,
+    sorted by the rounded point."""
+    first = _first_occurrences(points)
+    keep = [first[k] for k in sorted(first)]
+    return [points[i] for i in keep], [sols[i] for i in keep]
 
 
 def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
@@ -630,14 +702,7 @@ def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
     hyperplanes = list(L.hyperplanes)
     points = list(L.extreme_points)
     sols = list(L.extreme_solutions)
-    cache = {}
-
-    def weighted(lam):
-        key = tuple(np.round(lam, 9))
-        if key not in cache:
-            cache[key] = solve_lp(sub, lam @ inst.C)
-        return cache[key]
-
+    cache = {}     # plane key -> LpResult
     solves = 0
     supported = set()
     plane_keys = {tuple(np.round(lam, 9)) for lam, _ in hyperplanes}
@@ -647,30 +712,35 @@ def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
         verts = region.vertices()
         if not len(verts):
             break
-        normals = region.normals
-        slack = np.abs(verts @ normals.T - region.rhs[None, :])
-        vert_keys = [tuple(row) for row in np.round(verts, 7)]
-        pending = {}
-        for i, v in enumerate(verts):
-            key = vert_keys[i]
-            if key in supported:
+        has_active, lams = _vertex_weights(verts, region.normals, region.rhs)
+        lam_keys = [tuple(k) for k in np.round(lams, 9).tolist()]
+        # plan the round in vertex order; a cached plane still counts as a solve
+        plan = []
+        vert_keys = map(tuple, np.round(verts, 7).tolist())
+        for i, (key, on) in enumerate(zip(vert_keys, has_active.tolist())):
+            if key in supported or not on:
                 continue
-            active = slack[i] <= 1e-6
-            if not active.any():
-                continue
-            lam = _normalize(normals[active].sum(axis=0))
-            lam_key = tuple(np.round(lam, 9))
-            if lam_key in plane_keys:
+            if lam_keys[i] in plane_keys:
                 supported.add(key)
                 continue
-            res = weighted(lam)
-            solves += 1
-            if res.value > float(lam @ v) + _FACET_TOL:
-                pending.setdefault(lam_key, (lam, res))
+            plan.append((i, key))
+            if solves + len(plan) >= refine_max:
+                break
+        solves += len(plan)
+        todo = {}
+        for i, _ in plan:
+            if lam_keys[i] not in cache:
+                todo.setdefault(lam_keys[i], i)
+        objs = [lams[i] @ inst.C for i in todo.values()]
+        cache.update(zip(todo, _solve_lps(sub, objs)))
+        pending = {}
+        for i, key in plan:
+            res = cache[lam_keys[i]]
+            if res.value > float(lams[i] @ verts[i]) + _FACET_TOL:
+                # a copy: a view would keep the round's matrix alive
+                pending.setdefault(lam_keys[i], (lams[i].copy(), res))
             else:
                 supported.add(key)
-            if solves >= refine_max:
-                break
         if not pending:
             break
         new_planes = [(lam, res.value) for lam, res in pending.values()]

@@ -1,16 +1,32 @@
 """Tests for incumbents, local upper bounds, lower bound sets and gap measures."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobb.bounds import (IncumbentList, LocalUpperBoundSet, LowerBoundSet,
-                         MEASURE_HSZ, MEASURE_LHG, brute_force_lubs,
-                         default_big_m, gap_argmax_lub, gap_values, hv_box_gap,
+                         MEASURE_HSZ, MEASURE_LHG, _maximal, default_big_m,
+                         gap_argmax_lub, gap_values, hv_box_gap,
                          hv_simplex_gap, is_strictly_above, local_ideal,
                          spanning_points, surviving_mask)
 from mobb.model import Solution
+
+
+def brute_force_lubs(images, p: int, M: int):
+    """Grid-scan oracle for the local upper bound set."""
+    if not images:
+        return [tuple([M] * p)]
+    zs = [np.asarray(z, dtype=np.int64) for z in images]
+    axes = [sorted({int(z[k]) for z in zs} | {M}) for k in range(p)]
+    cands = []
+    for u in itertools.product(*axes):
+        ua = np.asarray(u, dtype=np.int64)
+        if not any(np.all(z < ua) for z in zs):
+            cands.append(ua)
+    return sorted(tuple(int(v) for v in u) for u in _maximal(cands))
 
 
 def polyline_bound():

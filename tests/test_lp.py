@@ -9,8 +9,9 @@ import mobb.lp
 from mobb.bounds import LowerBoundSet
 from mobb.instances import GeneratorSpec, generate
 from mobb.lp import (_FACET_TOL, INFEASIBLE, OPTIMAL, InfeasibleSubproblem,
-                     RelaxedSubproblem, _dedupe_points, _greedy_knapsack_lp,
-                     _normalize, _OuterRegion, _region_vertices, _simplex,
+                     RelaxedSubproblem, _dedupe_points, _distinct,
+                     _greedy_knapsack_lp, _greedy_knapsack_rows, _normalize,
+                     _OuterRegion, _region_vertices, _simplex, _solve_lps,
                      lower_bound_frontier, refine_frontier, solve_lp)
 from mobb.model import Instance
 
@@ -242,6 +243,126 @@ class TestGreedyKnapsackLp:
         assert float(c @ y) == pytest.approx(value, abs=1e-7)
         assert float(w @ y) <= cap + 1e-9
         assert np.all(y >= -1e-12) and np.all(y <= 1 + 1e-12)
+
+
+class TestGreedyKnapsackRows:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 20),
+           st.sampled_from(["zero", "infeasible", "inside", "sum", "above"]),
+           st.sampled_from([1.0, 0.1, 1 / 3]), st.booleans())
+    def test_rows_equal_scalar_greedy(self, seed, k, n, cap_kind, scale, fortran):
+        rng = np.random.default_rng(seed)
+        w = rng.integers(0, 15, n) * scale
+        w[rng.random(n) < 0.2] = 0.0
+        C = rng.integers(-30, 31, (k, n)) * scale
+        # rows whose ratios take two values, and rows with no negative cost
+        ties = rng.random(k) < 0.3
+        C[ties] = -w * rng.integers(1, 3, (int(ties.sum()), n))
+        nonneg = rng.random(k) < 0.2
+        C[nonneg] = np.abs(C[nonneg])
+        cap = {"zero": 0.0, "infeasible": -1.0, "inside": rng.uniform(0, w.sum()),
+               "sum": float(w.sum()), "above": float(w.sum()) + 2.5}[cap_kind]
+        if fortran:
+            # objs[:, cols] comes out Fortran-ordered
+            cols = np.sort(rng.permutation(n + 3)[:n])
+            wide = np.zeros((k, n + 3))
+            wide[:, cols] = C
+            C = wide[:, cols]
+        Y = _greedy_knapsack_rows(C, w, cap)
+        if cap_kind == "infeasible":
+            assert Y is None and _greedy_knapsack_lp(C[0].copy(), w, cap) is None
+            return
+        for r in range(k):
+            c = C[r].copy()
+            y = _greedy_knapsack_lp(c, w, cap)
+            assert Y[r].tobytes() == y.tobytes()
+            assert float(c @ Y[r]) == float(c @ y)
+
+    @pytest.mark.parametrize("fixings", [{}, {0: 1}, {2: 0, 5: 1, 6: 1},
+                                         {0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}])
+    def test_solve_lps_equals_solve_lp_on_a_knapsack(self, fixings):
+        inst = generate(GeneratorSpec(family="KP", p=3, seed=3, items=8))
+        rng = np.random.default_rng(0)
+        lams = rng.random((12, 3))
+        objs = [_normalize(lam) @ inst.C for lam in lams]
+        sub = RelaxedSubproblem(inst, fixings)
+        assert sub.lp.knapsack
+        got = _solve_lps(sub, objs)
+        for c, res in zip(objs, got):
+            ref = solve_lp(sub, c)
+            assert res.status == ref.status
+            if ref.status == OPTIMAL:
+                assert res.value == ref.value
+                assert res.x.tobytes() == ref.x.tobytes()
+
+    def test_other_relaxations_go_through_solve_lp(self, monkeypatch):
+        inst = generate(GeneratorSpec(family="GAP", p=3, seed=1, agents=2, jobs=3))
+        sub = RelaxedSubproblem(inst)
+        twin = RelaxedSubproblem(inst)
+        assert not sub.lp.knapsack
+        objs = [inst.C[k].astype(float) for k in range(3)]
+        seen = []
+        original = mobb.lp.solve_lp
+        monkeypatch.setattr(mobb.lp, "solve_lp",
+                            lambda s, c: seen.append(c) or original(s, c))
+        got = _solve_lps(sub, objs)
+        assert [c.tolist() for c in seen] == [c.tolist() for c in objs]
+        for c, res in zip(objs, got):
+            ref = original(twin, c)
+            assert res.value == ref.value and res.x.tobytes() == ref.x.tobytes()
+
+
+def _distinct_reference(verts):
+    """``verts`` without repeats at 7 decimals, by ``np.unique``."""
+    if not len(verts):
+        return verts
+    _, idx = np.unique(np.round(verts, 7), axis=0, return_index=True)
+    return verts[np.sort(idx)]
+
+
+def _dedupe_points_reference(points, sols):
+    """The first of each repeated point at 7 decimals, by a loop per point."""
+    uniq = {}
+    for y, x in zip(points, sols):
+        uniq.setdefault(tuple(np.round(y, 7)), (y, x))
+    return ([uniq[k][0] for k in sorted(uniq)],
+            [uniq[k][1] for k in sorted(uniq)])
+
+
+# values that round apart, values that round together at 7 decimals, and
+# both zeros
+_NEAR = [0.0, -0.0, 1.0, 1.00000001, 0.99999999, 2.5, 2.50000004, -3.25,
+         -3.2500000400001, 1e-8, -1e-8]
+
+
+class TestDistinctRows:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 30), st.integers(1, 4))
+    def test_distinct_equals_unique(self, seed, m, p):
+        rng = np.random.default_rng(seed)
+        verts = rng.choice(_NEAR, (m, p))
+        got = _distinct(verts)
+        ref = _distinct_reference(verts)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 30), st.integers(1, 4))
+    def test_dedupe_points_equals_loop(self, seed, m, p):
+        rng = np.random.default_rng(seed)
+        points = list(rng.choice(_NEAR, (m, p)))
+        sols = [np.array([i]) for i in range(m)]
+        got = _dedupe_points(points, sols)
+        ref = _dedupe_points_reference(points, sols)
+        assert [id(y) for y in got[0]] == [id(y) for y in ref[0]]
+        assert [id(x) for x in got[1]] == [id(x) for x in ref[1]]
+
+    def test_first_occurrences_in_order(self):
+        verts = np.array([[2.0, 0.0], [1.0, -0.0], [2.00000001, 0.0],
+                          [1.0, 0.0], [0.5, 0.5]])
+        got = _distinct(verts)
+        assert got.tobytes() == verts[[0, 1, 4]].tobytes()
+        _, sols = _dedupe_points(list(verts), ["a", "b", "c", "d", "e"])
+        assert sols == ["e", "b", "a"]
 
 
 class TestFrontier2d:
@@ -496,7 +617,7 @@ def _refine_from_scratch(sub, L, refine_max):
             hyperplanes.append((lam, res.value))
             points.append(inst.C @ res.x)
             sols.append(res.x)
-    points, sols = _dedupe_points(points, sols)
+    points, sols = _dedupe_points_reference(points, sols)
     return LowerBoundSet(hyperplanes=hyperplanes,
                          extreme_points=points, extreme_solutions=sols,
                          facet_offsets=L.facet_offsets)
@@ -510,26 +631,37 @@ _REFINE_SPECS = [
 ]
 
 
+def _assert_same_refinement(inst, fixings, refine_max):
+    sub = RelaxedSubproblem(inst, fixings)
+    try:
+        L0 = lower_bound_frontier(sub)
+    except InfeasibleSubproblem:
+        return
+    got = refine_frontier(sub, L0, refine_max)
+    # the same LP history, so warm starts take the same pivots
+    twin = RelaxedSubproblem(inst, fixings)
+    ref = _refine_from_scratch(twin, lower_bound_frontier(twin), refine_max)
+    assert len(got.hyperplanes) == len(ref.hyperplanes)
+    for (lam, r), (lam_ref, r_ref) in zip(got.hyperplanes, ref.hyperplanes):
+        assert np.array_equal(lam, lam_ref) and r == r_ref
+    assert len(got.extreme_points) == len(ref.extreme_points)
+    for y, y_ref in zip(got.extreme_points, ref.extreme_points):
+        assert np.array_equal(y, y_ref)
+    for x, x_ref in zip(got.extreme_solutions, ref.extreme_solutions):
+        assert np.array_equal(x, x_ref)
+
+
 class TestRefinementEquivalence:
+    # at 1 and 13 LPs the budget ends in the middle of a round
     @pytest.mark.parametrize("spec", _REFINE_SPECS, ids=lambda s: f"{s.family}-p{s.p}")
-    @pytest.mark.parametrize("refine_max", [5, 50])
+    @pytest.mark.parametrize("refine_max", [1, 5, 13, 50])
     def test_same_bound_as_from_scratch_enumeration(self, spec, refine_max):
         inst = generate(spec)
         for fixings in ({}, {0: 1}, {1: 0, 2: 1}):
-            sub = RelaxedSubproblem(inst, fixings)
-            try:
-                L0 = lower_bound_frontier(sub)
-            except InfeasibleSubproblem:
-                continue
-            got = refine_frontier(sub, L0, refine_max)
-            # the same LP history, so warm starts take the same pivots
-            twin = RelaxedSubproblem(inst, fixings)
-            ref = _refine_from_scratch(twin, lower_bound_frontier(twin), refine_max)
-            assert len(got.hyperplanes) == len(ref.hyperplanes)
-            for (lam, r), (lam_ref, r_ref) in zip(got.hyperplanes, ref.hyperplanes):
-                assert np.array_equal(lam, lam_ref) and r == r_ref
-            assert len(got.extreme_points) == len(ref.extreme_points)
-            for y, y_ref in zip(got.extreme_points, ref.extreme_points):
-                assert np.array_equal(y, y_ref)
-            for x, x_ref in zip(got.extreme_solutions, ref.extreme_solutions):
-                assert np.array_equal(x, x_ref)
+            _assert_same_refinement(inst, fixings, refine_max)
+
+    @pytest.mark.parametrize("refine_max", [1, 13, 50])
+    def test_same_bound_under_depth3_fixings(self, refine_max):
+        inst = generate(GeneratorSpec(family="KP", p=3, seed=3, items=16))
+        for fixings in ({0: 1, 1: 0, 2: 1}, {3: 0, 8: 1, 13: 1}, {5: 1, 9: 1, 15: 0}):
+            _assert_same_refinement(inst, fixings, refine_max)

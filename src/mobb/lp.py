@@ -347,7 +347,9 @@ def _simplex(c, A, b):
 
 
 def _greedy_knapsack_lp(c, w, cap):
-    """min c.y s.t. w.y <= cap, 0 <= y <= 1, with w >= 0: fractional greedy."""
+    """min c.y s.t. w.y <= cap, 0 <= y <= 1, with w >= 0: fractional greedy.
+    ``_greedy_knapsack_rows`` is the same greedy for many objectives at once;
+    on a single objective it takes more than twice as long as this one."""
     if cap < -_FEAS_TOL:
         return None
     y = np.zeros(len(c))
@@ -373,26 +375,42 @@ def _greedy_knapsack_rows(C, w, cap):
     if cap < -_FEAS_TOL:
         return None
     C = np.ascontiguousarray(C, dtype=float)
+    k, n = C.shape
     paying = w > _PIVOT_TOL
     gain = C < -_PIVOT_TOL
     paid = gain & paying
-    Y = (gain & ~paying).astype(float)
     # the paid items of each row first, by ratio and then by index
-    ratio = np.where(paid, C / np.where(paying, w, 1.0), np.inf)
+    ratio = np.divide(C, w, out=np.full((k, n), np.inf), where=paid)
     order = np.argsort(ratio, axis=1, kind="stable")
-    cum = np.cumsum(w[order], axis=1)
+    # cum[:, t]: the weight of the first t items in order
+    cum = np.zeros((k, n + 1))
+    np.cumsum(w[order], axis=1, out=cum[:, 1:])
     npaid = paid.sum(axis=1)
     # w >= 0, so cum never falls and the items that fit are a prefix
-    nfull = np.minimum((cum <= float(cap) + 1e-12).sum(axis=1), npaid)
-    rows, pos = np.nonzero(np.arange(C.shape[1]) < nfull[:, None])
-    Y[rows, order[rows, pos]] = 1.0
+    nfull = np.minimum((cum[:, 1:] <= float(cap) + 1e-12).sum(axis=1), npaid)
+    # each row's y in its sorted order first, then scattered back
+    S = (np.arange(n) < nfull[:, None]).astype(float)
     r = np.flatnonzero(nfull < npaid)
     f = nfull[r]
-    j = order[r, f]
-    frac = (float(cap) - np.where(f > 0, cum[r, f - 1], 0.0)) / w[j]
+    frac = (float(cap) - cum[r, f]) / w[order[r, f]]
     big = frac > _PIVOT_TOL
-    Y[r[big], j[big]] = frac[big]
+    S[r[big], f[big]] = frac[big]
+    Y = np.empty((k, n))
+    Y[np.arange(k)[:, None], order] = S
+    # the items that gain at no weight
+    Y[gain & ~paying] = 1.0
     return Y
+
+
+def _knapsack_result(lp: "_NodeLP", c, y) -> LpResult:
+    """``solve_lp``'s answer on a knapsack relaxation, from the greedy's y."""
+    if y is None:
+        return LpResult(status=INFEASIBLE)
+    # the value from a fresh c[lp.cols]: with a row view of a 2-D array the
+    # product can come out 1 ulp apart
+    return LpResult(status=OPTIMAL,
+                    value=float(c[lp.cols] @ y) + float(c[lp.fixed_idx] @ lp.xf),
+                    x=lp.full_x(y))
 
 
 def solve_lp(sub: RelaxedSubproblem, c) -> LpResult:
@@ -404,16 +422,13 @@ def solve_lp(sub: RelaxedSubproblem, c) -> LpResult:
     lp = sub.lp
     if lp.infeasible:
         return LpResult(status=INFEASIBLE)
+    if lp.knapsack:
+        return _knapsack_result(
+            lp, c, _greedy_knapsack_lp(c[lp.cols], lp.Af[0], lp.bf[0]))
     offset = float(c[lp.fixed_idx] @ lp.xf)
     if not len(lp.cols):
         return LpResult(status=OPTIMAL, value=offset, x=lp.full_x(0.0))
-    cf = c[lp.cols]
-    if lp.knapsack:
-        y = _greedy_knapsack_lp(cf, lp.Af[0], lp.bf[0])
-        if y is None:
-            return LpResult(status=INFEASIBLE)
-        return LpResult(status=OPTIMAL, value=float(cf @ y) + offset, x=lp.full_x(y))
-    tab = lp.simplex(cf)
+    tab = lp.simplex(c[lp.cols])
     if tab is None:
         return LpResult(status=INFEASIBLE)
     value, y = tab.point()
@@ -433,12 +448,7 @@ def _solve_lps(sub: RelaxedSubproblem, objs) -> list:
     Y = _greedy_knapsack_rows(objs[:, lp.cols], lp.Af[0], lp.bf[0])
     if Y is None:
         return [LpResult(status=INFEASIBLE)] * len(objs)
-    results = []
-    for c, y in zip(objs, Y):
-        # each value from a fresh row, as solve_lp computes it
-        value = float(c[lp.cols] @ y) + float(c[lp.fixed_idx] @ lp.xf)
-        results.append(LpResult(status=OPTIMAL, value=value, x=lp.full_x(y)))
-    return results
+    return [_knapsack_result(lp, c, y) for c, y in zip(objs, Y)]
 
 
 def _lexmin(sub: RelaxedSubproblem, k: int, j: int):
@@ -637,16 +647,12 @@ def _vertex_weights(verts, normals, rhs):
     in plane order, starting from zero, as ``normals[active].sum(axis=0)``
     does, so each row equals ``_normalize`` of that sum bit for bit."""
     active = np.abs(verts @ normals.T - rhs[None, :]) <= 1e-6
-    counts = active.sum(axis=1)
     rows, planes = np.nonzero(active)
-    # terms[i, t]: the t-th active normal of vertex i, or zeros
-    terms = np.zeros((len(verts), int(counts.max()), normals.shape[1]))
-    rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
-    terms[rows, rank] = normals[planes]
+    # ufunc.at adds unbuffered, one index after another: each vertex's
+    # active normals in plane order, from zero
     sums = np.zeros_like(verts)
-    for t in range(terms.shape[1]):
-        sums += terms[:, t]
-    has_active = counts > 0
+    np.add.at(sums, rows, normals[planes])
+    has_active = active.any(axis=1)
     lams = np.zeros_like(sums)
     active_sums = sums[has_active]
     lams[has_active] = active_sums / active_sums.sum(axis=1, keepdims=True)

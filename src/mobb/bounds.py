@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +27,6 @@ class LowerBoundSet:
     extreme_points: list = field(default_factory=list)     # np.ndarray images
     extreme_solutions: list = field(default_factory=list)  # aligned full x vectors
     facet_offsets: np.ndarray = None                       # p-vector or None
-    _plane_cache: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -47,14 +47,13 @@ class LowerBoundSet:
                 planes.append((e, float(self.facet_offsets[k])))
         return planes
 
+    @functools.cached_property
     def plane_matrix(self):
-        """All planes stacked: (normals of shape (h, p), rhs of shape (h,))."""
+        """All planes stacked: (normals of shape (h, p), rhs of shape (h,)).
+        Built on first use: a bound set does not change once built."""
         planes = self.all_planes()
-        if self._plane_cache is None or self._plane_cache[0] != len(planes):
-            normals = np.asarray([lam for lam, _ in planes], dtype=float)
-            rhs = np.asarray([r for _, r in planes], dtype=float)
-            self._plane_cache = (len(planes), normals, rhs)
-        return self._plane_cache[1], self._plane_cache[2]
+        return (np.asarray([lam for lam, _ in planes], dtype=float),
+                np.asarray([r for _, r in planes], dtype=float))
 
 
 def local_ideal(L: LowerBoundSet) -> np.ndarray:
@@ -80,7 +79,7 @@ def surviving_mask(L: LowerBoundSet, U) -> np.ndarray:
     U = np.asarray(U, dtype=float)
     if U.size == 0:
         return np.zeros(len(U), dtype=bool)
-    normals, rhs = L.plane_matrix()
+    normals, rhs = L.plane_matrix
     if len(rhs) == 0:
         return np.ones(len(U), dtype=bool)
     return np.all(U @ normals.T > rhs[None, :] + FLOAT_TOL, axis=1)
@@ -140,7 +139,7 @@ def gap_values(L: LowerBoundSet, surviving, measure: str) -> np.ndarray:
         raise ModelError(f"unknown gap measure {measure!r}")
     p = U.shape[1]
     t = U - ideal[None, :]
-    normals, rhs = L.plane_matrix()
+    normals, rhs = L.plane_matrix
     if len(rhs):
         proj = U @ normals.T - rhs[None, :]
         for i in range(p):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,42 +33,6 @@ class LpResult:
     status: str
     value: float = 0.0
     x: np.ndarray = None      # full n-vector including fixed entries
-
-
-@dataclass
-class RelaxedSubproblem:
-    """A node's relaxation: fixings plus inherited valid-inequality pool.
-
-    ``cut_rows`` are decision-space inequalities a.x >= rhs (level-set cuts are
-    stored here after integer rounding). The subproblem is also the node's one
-    LP: its first solve builds the constraint system and keeps the simplex
-    tableau, so rows must not change once solving starts.
-    """
-
-    instance: Instance
-    fixings: dict = field(default_factory=dict)
-    cut_rows: list = field(default_factory=list)       # [(np.ndarray a, rhs)]
-    _lp: "_NodeLP" = field(default=None, init=False, repr=False, compare=False)
-
-    def free_vars(self):
-        return [j for j in range(self.instance.n) if j not in self.fixings]
-
-    @property
-    def lp(self) -> "_NodeLP":
-        if self._lp is None:
-            self._lp = _NodeLP(self)
-        return self._lp
-
-    def branch(self, j: int, v: int) -> "RelaxedSubproblem":
-        """The child with x_j fixed to v. When this subproblem's LP has a
-        simplex tableau, the child's LP starts from it (``_NodeLP.branch``);
-        otherwise it is built afresh."""
-        child = RelaxedSubproblem(self.instance, {**self.fixings, j: v},
-                                  list(self.cut_rows))
-        lp = self._lp
-        if lp is not None and lp.tableau is not None and not lp.knapsack:
-            child._lp = lp.branch(j, v)
-        return child
 
 
 def _pivot(T, basis, r, j):
@@ -245,31 +209,36 @@ class _Tableau:
         return _Tableau(T, np.append(self.basis, w - 1), self.nv)
 
 
-class _NodeLP:
-    """A subproblem's LE system over its free variables, built once, and the
-    tableau of its last simplex solve.
+class RelaxedSubproblem:
+    """A node's relaxation and its one LP: fixings, the inherited pool of
+    valid inequalities, the LE system over the free variables and the tableau
+    of the last simplex solve.
 
-    Only the first simplex solve runs phase 1. Later objectives start phase 2
-    from the last optimal basis, which stays primal feasible because only the
-    objective changes (Chvatal 1983, ch. 10). A child made by ``branch`` needs
-    no phase 1 either: it starts from its parent's tableau.
+    ``cut_rows`` are decision-space inequalities a.x >= rhs (level-set cuts are
+    stored here after integer rounding). The constructor builds the system
+    from them, so rows must not change afterwards. Only the first simplex
+    solve runs phase 1. Later objectives start phase 2 from the last optimal
+    basis, which stays primal feasible because only the objective changes
+    (Chvatal 1983, ch. 10). A copy made by ``with_row`` or ``branch`` needs no
+    phase 1 either: it starts from this subproblem's tableau.
     """
 
-    def __init__(self, sub: RelaxedSubproblem):
-        inst = sub.instance
-        self.n = inst.n
-        A_le, b_le = inst.le_normalized()
+    def __init__(self, instance: Instance, fixings=None, cut_rows=None):
+        self.instance = instance
+        self.fixings = {} if fixings is None else fixings
+        self.cut_rows = [] if cut_rows is None else cut_rows   # [(a, rhs)]
+        A_le, b_le = instance.le_normalized()
         rows = [A_le.astype(float)]
         rhs = [b_le.astype(float)]
-        for a, r in sub.cut_rows:
+        for a, r in self.cut_rows:
             rows.append(-np.asarray(a, dtype=float)[None, :])
             rhs.append(np.array([-float(r)]))
         A = np.vstack(rows)
         b = np.concatenate(rhs)
         # the tableau's structural columns: the variables free at build time
-        self.cols = np.asarray(sub.free_vars(), dtype=np.int64)
-        self.fixed_idx = np.asarray(sorted(sub.fixings), dtype=np.int64)
-        self.xf = np.asarray([sub.fixings[j] for j in self.fixed_idx], dtype=float)
+        self.cols = np.asarray(self.free_vars(), dtype=np.int64)
+        self.fixed_idx = np.asarray(sorted(self.fixings), dtype=np.int64)
+        self.xf = np.asarray([self.fixings[j] for j in self.fixed_idx], dtype=float)
         if len(self.fixed_idx):
             b = b - A[:, self.fixed_idx] @ self.xf
         Af = A[:, self.cols]
@@ -287,30 +256,54 @@ class _NodeLP:
         self.row_x = np.empty(0)
         self.pending_rows = []
 
+    def free_vars(self):
+        return [j for j in range(self.instance.n) if j not in self.fixings]
+
     def full_x(self, y) -> np.ndarray:
         """The n-vector with ``y`` on the columns and every fixing exact."""
-        x = np.zeros(self.n)
+        x = np.zeros(self.instance.n)
         x[self.fixed_idx] = self.xf
         x[self.cols] = y
         x[self.row_idx] = self.row_x
         return x
 
-    def branch(self, j: int, v: int) -> "_NodeLP":
-        """The LP of the child with x_j fixed to v. Its first ``simplex``
-        copies this node's tableau, as the last solve left it, with the row
-        x_j <= 0 (v = 0) or -x_j <= -1 (v = 1) appended; x_j stays a column.
-        The copy keeps the reduced costs, so it starts dual feasible, and a
-        dual simplex restores primal feasibility instead of phase 1."""
-        child = copy.copy(self)
-        a = np.zeros(self.tableau.nv)
+    def with_row(self, a, rhs) -> "RelaxedSubproblem":
+        """A copy whose next simplex solve appends the row a.y <= rhs, over
+        ``cols``, to a copy of this subproblem's tableau as it then stands.
+
+        The appended copy keeps the reduced costs, so it starts dual feasible,
+        and a dual simplex restores primal feasibility instead of phase 1.
+        Phase 1 would build from the system alone and drop the row, so this
+        subproblem must have a tableau; a knapsack gets one only from
+        ``simplex``, never from the greedy.
+        """
+        if self.tableau is None:
+            raise ValueError("with_row needs a simplex tableau")
+        extended = copy.copy(self)
+        extended.knapsack = False     # the greedy would ignore the row
+        extended.pending_rows = self.pending_rows + [(a, float(rhs))]
+        return extended
+
+    def branch(self, j: int, v: int) -> "RelaxedSubproblem":
+        """The child with x_j fixed to v. When this subproblem has a simplex
+        tableau and is not a knapsack, the child is its ``with_row`` copy for
+        the row x_j <= 0 (v = 0) or -x_j <= -1 (v = 1), and x_j stays a
+        column; otherwise the child is built afresh."""
+        fixings = {**self.fixings, j: v}
+        if self.tableau is None or self.knapsack:
+            return RelaxedSubproblem(self.instance, fixings, list(self.cut_rows))
+        a = np.zeros(len(self.cols))
         a[np.searchsorted(self.cols, j)] = 1.0 if v == 0 else -1.0
-        child.pending_rows = self.pending_rows + [(a, -float(v))]
+        child = self.with_row(a, -float(v))
+        child.fixings = fixings
+        child.cut_rows = list(self.cut_rows)
         child.row_idx = np.append(self.row_idx, j)
         child.row_x = np.append(self.row_x, float(v))
         return child
 
-    def simplex(self, cf) -> _Tableau:
-        """The tableau reoptimized for min cf.y, or None if infeasible."""
+    def simplex(self, cf):
+        """(value, y) of min cf.y over the columns, reoptimized from the last
+        tableau, or None if infeasible."""
         if self.tableau is None:
             # box: x_j <= 1 for free variables; the knapsack greedy never
             # needs these rows, so they are built only here
@@ -331,19 +324,7 @@ class _NodeLP:
             return None
         if self.tableau.optimize(cf) == UNBOUNDED:
             raise ModelError("unbounded LP over a boxed binary relaxation")
-        return self.tableau
-
-
-def _simplex(c, A, b):
-    """min c.y  s.t.  A y <= b, y >= 0, from a slack basis. Returns
-    (status, value, y)."""
-    tab = _Tableau.phase1(np.asarray(A, dtype=float), np.asarray(b, dtype=float))
-    if tab is None:
-        return INFEASIBLE, 0.0, None
-    if tab.optimize(c) == UNBOUNDED:
-        return UNBOUNDED, 0.0, None
-    value, y = tab.point()
-    return OPTIMAL, value, y
+        return self.tableau.point()
 
 
 def _greedy_knapsack_lp(c, w, cap):
@@ -402,15 +383,15 @@ def _greedy_knapsack_rows(C, w, cap):
     return Y
 
 
-def _knapsack_result(lp: "_NodeLP", c, y) -> LpResult:
+def _knapsack_result(sub: RelaxedSubproblem, c, y) -> LpResult:
     """``solve_lp``'s answer on a knapsack relaxation, from the greedy's y."""
     if y is None:
         return LpResult(status=INFEASIBLE)
-    # the value from a fresh c[lp.cols]: with a row view of a 2-D array the
+    # the value from a fresh c[sub.cols]: with a row view of a 2-D array the
     # product can come out 1 ulp apart
     return LpResult(status=OPTIMAL,
-                    value=float(c[lp.cols] @ y) + float(c[lp.fixed_idx] @ lp.xf),
-                    x=lp.full_x(y))
+                    value=float(c[sub.cols] @ y) + float(c[sub.fixed_idx] @ sub.xf),
+                    x=sub.full_x(y))
 
 
 def solve_lp(sub: RelaxedSubproblem, c) -> LpResult:
@@ -419,21 +400,20 @@ def solve_lp(sub: RelaxedSubproblem, c) -> LpResult:
     Reoptimizes the subproblem's tableau from its last basis.
     """
     c = np.asarray(c, dtype=float)
-    lp = sub.lp
-    if lp.infeasible:
+    if sub.infeasible:
         return LpResult(status=INFEASIBLE)
-    if lp.knapsack:
+    if sub.knapsack:
         return _knapsack_result(
-            lp, c, _greedy_knapsack_lp(c[lp.cols], lp.Af[0], lp.bf[0]))
-    offset = float(c[lp.fixed_idx] @ lp.xf)
-    if not len(lp.cols):
-        return LpResult(status=OPTIMAL, value=offset, x=lp.full_x(0.0))
-    tab = lp.simplex(c[lp.cols])
-    if tab is None:
+            sub, c, _greedy_knapsack_lp(c[sub.cols], sub.Af[0], sub.bf[0]))
+    offset = float(c[sub.fixed_idx] @ sub.xf)
+    if not len(sub.cols):
+        return LpResult(status=OPTIMAL, value=offset, x=sub.full_x(0.0))
+    point = sub.simplex(c[sub.cols])
+    if point is None:
         return LpResult(status=INFEASIBLE)
-    value, y = tab.point()
+    value, y = point
     return LpResult(status=OPTIMAL, value=value + offset,
-                    x=lp.full_x(np.clip(y, 0.0, 1.0)))
+                    x=sub.full_x(np.clip(y, 0.0, 1.0)))
 
 
 def _solve_lps(sub: RelaxedSubproblem, objs) -> list:
@@ -441,22 +421,22 @@ def _solve_lps(sub: RelaxedSubproblem, objs) -> list:
     relaxation answers every row with one ``_greedy_knapsack_rows`` call; any
     other goes through ``solve_lp`` row by row, in order, so warm starts take
     the same pivots."""
-    lp = sub.lp
-    if lp.infeasible or not lp.knapsack or not len(objs):
+    if sub.infeasible or not sub.knapsack or not len(objs):
         return [solve_lp(sub, c) for c in objs]
     objs = np.asarray(objs, dtype=float)
-    Y = _greedy_knapsack_rows(objs[:, lp.cols], lp.Af[0], lp.bf[0])
+    Y = _greedy_knapsack_rows(objs[:, sub.cols], sub.Af[0], sub.bf[0])
     if Y is None:
         return [LpResult(status=INFEASIBLE)] * len(objs)
-    return [_knapsack_result(lp, c, y) for c, y in zip(objs, Y)]
+    return [_knapsack_result(sub, c, y) for c, y in zip(objs, Y)]
 
 
 def _lexmin(sub: RelaxedSubproblem, k: int, j: int):
     """Lexicographic minimum over the relaxation: min z_k, then min z_j.
 
-    Stage 2 appends the cap z_k <= v_k + _LEX_CAP to a copy of the stage-1
-    optimal tableau. The cap's slack is basic at _LEX_CAP >= 0, so the copy is
-    primal feasible and phase 2 runs on it without a phase 1.
+    Stage 2 solves the ``with_row`` copy capped by z_k <= v_k + _LEX_CAP. The
+    cap's slack is basic at _LEX_CAP >= 0 in the stage-1 optimal tableau, so
+    the copy is primal feasible, its dual simplex makes no pivot, and phase 2
+    runs from the stage-1 basis.
     """
     inst = sub.instance
     ck = inst.C[k].astype(float)
@@ -464,16 +444,18 @@ def _lexmin(sub: RelaxedSubproblem, k: int, j: int):
     if res.status == INFEASIBLE:
         return None
     vk = res.value
-    lp = sub.lp
     x = res.x
-    if len(lp.cols):
-        a = ck[lp.cols]
-        cap = vk + _LEX_CAP - float(ck[lp.fixed_idx] @ lp.xf)
+    if len(sub.cols):
+        a = ck[sub.cols]
+        cap = vk + _LEX_CAP - float(ck[sub.fixed_idx] @ sub.xf)
         # already optimal for z_k, with no pivot, unless the knapsack greedy
-        # answered stage 1; then this builds the tableau
-        capped = lp.simplex(a).with_row(a, cap)
-        capped.optimize(inst.C[j, lp.cols].astype(float))
-        x = lp.full_x(np.clip(capped.point()[1], 0.0, 1.0))
+        # answered stage 1; then this builds the tableau that with_row needs
+        sub.simplex(a)
+        capped = solve_lp(sub.with_row(a, cap), inst.C[j])
+        # only float rounding at huge objective values can make the cap
+        # infeasible; the stage-1 point then stands
+        if capped.status == OPTIMAL:
+            x = capped.x
     return vk, inst.C @ x, x
 
 
@@ -506,7 +488,7 @@ def _frontier_2d(sub: RelaxedSubproblem) -> LowerBoundSet:
     hyperplanes = [(np.array([1.0, 0.0]), v1), (np.array([0.0, 1.0]), v2)]
     points = [yL]
     sols = [xL]
-    if not np.allclose(yL, yR, atol=1e-7):
+    if not np.allclose(yL, yR, rtol=0.0, atol=1e-7):
         points.append(yR)
         sols.append(xR)
         stack = [(yL, yR)]
@@ -572,14 +554,6 @@ def _distinct(verts):
     return verts[list(_first_occurrences(verts).values())]
 
 
-def _region_vertices(normals, rhs, p):
-    """Vertices of {y : lam.y >= rhs for all planes} via p-subset intersection."""
-    h = len(rhs)
-    if h < p:
-        return np.empty((0, p))
-    return _distinct(_feasible_subsets(normals, rhs, _p_subsets(h, p))[1])
-
-
 class _OuterRegion:
     """The vertices of {y : lam.y >= rhs for all planes}, kept up to date as
     planes are appended (the double description method: Motzkin et al. 1953;
@@ -608,8 +582,9 @@ class _OuterRegion:
                 self.normals, self.rhs, _p_subsets(len(self.rhs), p))
 
     def vertices(self):
-        """The distinct vertices, ordered and valued as ``_region_vertices``
-        returns them for the same planes."""
+        """The distinct vertices, ordered and valued as intersecting every
+        p-subset of the same planes afresh gives them; the tests keep that
+        enumeration as the reference."""
         order = np.lexsort(self.subsets.T[::-1])
         return _distinct(self.points[order])
 

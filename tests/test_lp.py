@@ -8,12 +8,34 @@ from hypothesis import strategies as st
 import mobb.lp
 from mobb.bounds import LowerBoundSet
 from mobb.instances import GeneratorSpec, generate
-from mobb.lp import (_FACET_TOL, INFEASIBLE, OPTIMAL, InfeasibleSubproblem,
-                     RelaxedSubproblem, _dedupe_points, _distinct,
-                     _greedy_knapsack_lp, _greedy_knapsack_rows, _normalize,
-                     _OuterRegion, _region_vertices, _simplex, _solve_lps,
-                     lower_bound_frontier, refine_frontier, solve_lp)
+from mobb.lp import (_FACET_TOL, _LEX_CAP, INFEASIBLE, OPTIMAL, UNBOUNDED,
+                     InfeasibleSubproblem, RelaxedSubproblem, _dedupe_points,
+                     _distinct, _feasible_subsets, _greedy_knapsack_lp,
+                     _greedy_knapsack_rows, _lexmin, _normalize, _OuterRegion,
+                     _p_subsets, _solve_lps, _Tableau, lower_bound_frontier,
+                     refine_frontier, solve_lp)
 from mobb.model import Instance
+
+
+def _simplex(c, A, b):
+    """min c.y  s.t.  A y <= b, y >= 0, from a slack basis. Returns
+    (status, value, y)."""
+    tab = _Tableau.phase1(np.asarray(A, dtype=float), np.asarray(b, dtype=float))
+    if tab is None:
+        return INFEASIBLE, 0.0, None
+    if tab.optimize(c) == UNBOUNDED:
+        return UNBOUNDED, 0.0, None
+    value, y = tab.point()
+    return OPTIMAL, value, y
+
+
+def _region_vertices(normals, rhs, p):
+    """Vertices of {y : lam.y >= rhs for all planes} via p-subset intersection:
+    the reference for ``_OuterRegion``."""
+    h = len(rhs)
+    if h < p:
+        return np.empty((0, p))
+    return _distinct(_feasible_subsets(normals, rhs, _p_subsets(h, p))[1])
 
 
 def cover_instance():
@@ -130,7 +152,7 @@ class TestWarmChildren:
             feasible = []
             for v in (0, 1):
                 child = sub.branch(j, v)
-                warm += child.lp.tableau is not None
+                warm += child.tableau is not None
                 got = solve_lp(child, c)
                 ref = solve_lp(RelaxedSubproblem(inst, dict(child.fixings), cuts), c)
                 assert got.status == ref.status
@@ -209,7 +231,7 @@ class TestWarmChildren:
         c = np.array([-1.0, -1.0, -1.0])
         assert solve_lp(sub, c).status == OPTIMAL
         child = sub.branch(2, 1)
-        assert child.lp.tableau is not None
+        assert child.tableau is not None
         assert solve_lp(child, c).status == INFEASIBLE
         assert solve_lp(child, c).status == INFEASIBLE
         res = solve_lp(sub.branch(2, 0), c)
@@ -221,10 +243,107 @@ class TestWarmChildren:
                         senses=("le",))
         sub = RelaxedSubproblem(inst)
         solve_lp(sub, inst.C[0])
-        assert sub.lp.knapsack
+        assert sub.knapsack
         child = sub.branch(0, 1)
-        assert child.lp.tableau is None
+        assert child.tableau is None
         assert solve_lp(child, inst.C[0]).value == pytest.approx(-9.0)
+
+
+def _same_result(got, ref):
+    assert got.status == ref.status
+    if ref.status == OPTIMAL:
+        assert got.value == ref.value and got.x.tobytes() == ref.x.tobytes()
+
+
+class TestWithRow:
+    def test_parent_solves_as_if_no_copy_was_made(self):
+        inst = generate(CHAIN_SPECS[0])
+        rng = np.random.default_rng(1)
+        objs = [rng.random(inst.p) @ inst.C for _ in range(6)]
+        sub, twin = RelaxedSubproblem(inst), RelaxedSubproblem(inst)
+        x = solve_lp(sub, objs[0]).x
+        solve_lp(twin, objs[0])
+        # x_j >= 1 for a variable at 0: the copy's dual simplex must pivot
+        j = int(np.flatnonzero(x < 0.5)[0])
+        a = np.zeros(len(sub.cols))
+        a[j] = -1.0
+        copy = sub.with_row(a, -1.0)
+        got = solve_lp(copy, objs[1])
+        assert got.status == OPTIMAL and got.x[j] == pytest.approx(1.0)
+        m = len(sub.tableau.basis)
+        assert not np.array_equal(copy.tableau.basis[:m], sub.tableau.basis)
+        for c in objs[1:]:
+            _same_result(solve_lp(sub, c), solve_lp(twin, c))
+        assert sub.tableau.T.tobytes() == twin.tableau.T.tobytes()
+
+    def test_row_on_a_knapsack_is_honoured(self):
+        # the level cut's own objective: the greedy alone would go below it
+        inst = generate(CHAIN_SPECS[3])
+        (g, r), = _level_cut(inst, np.random.default_rng(4))
+        sub = RelaxedSubproblem(inst)
+        assert sub.knapsack
+        assert solve_lp(sub, g).value < r - 1e-3
+        sub.simplex(g[sub.cols])
+        got = solve_lp(sub.with_row(-g[sub.cols], -r), g)
+        ref = solve_lp(RelaxedSubproblem(inst, {}, [(g, r)]), g)
+        assert got.status == ref.status == OPTIMAL
+        assert got.value == pytest.approx(ref.value, abs=1e-7)
+        assert got.value == pytest.approx(r, abs=1e-7)
+        assert float(g @ got.x) >= r - 1e-7
+
+    def test_needs_a_tableau(self):
+        inst = generate(CHAIN_SPECS[3])
+        sub = RelaxedSubproblem(inst)
+        solve_lp(sub, inst.C[0])
+        with pytest.raises(ValueError):
+            sub.with_row(np.ones(len(sub.cols)), 1.0)
+
+
+def _lexmin_reference(sub, k, j):
+    """``_lexmin`` with stage 2 run by hand: phase 2 on a copy of the stage-1
+    tableau with the cap row appended, and no dual simplex."""
+    inst = sub.instance
+    ck = inst.C[k].astype(float)
+    res = solve_lp(sub, ck)
+    if res.status == INFEASIBLE:
+        return None
+    vk = res.value
+    x = res.x
+    if len(sub.cols):
+        a = ck[sub.cols]
+        cap = vk + _LEX_CAP - float(ck[sub.fixed_idx] @ sub.xf)
+        sub.simplex(a)
+        capped = sub.tableau.with_row(a, cap)
+        capped.optimize(inst.C[j, sub.cols].astype(float))
+        x = sub.full_x(np.clip(capped.point()[1], 0.0, 1.0))
+    return vk, inst.C @ x, x
+
+
+class TestLexmin:
+    """``_lexmin`` through ``solve_lp`` on a ``with_row`` copy equals the
+    hand-driven stage 2 bit for bit, after a greedy or a simplex stage 1."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, len(CHAIN_SPECS) - 1), st.integers(0, 10_000),
+           st.booleans())
+    def test_equals_reference(self, family, seed, level_cut):
+        inst = generate(CHAIN_SPECS[family])
+        rng = np.random.default_rng(seed)
+        cuts = _level_cut(inst, rng) if level_cut else []
+        fixed = rng.permutation(inst.n)[:int(rng.integers(0, inst.n // 2))]
+        fixings = {int(j): int(rng.integers(2)) for j in fixed}
+        sub = RelaxedSubproblem(inst, fixings, cuts)
+        twin = RelaxedSubproblem(inst, dict(fixings), cuts)
+        for k, j in ((0, 1), (1, 0), (0, 1)):
+            got = _lexmin(sub, k, j)
+            ref = _lexmin_reference(twin, k, j)
+            assert (got is None) == (ref is None)
+            if ref is None:
+                return
+            assert got[0] == ref[0]
+            assert got[1].tobytes() == ref[1].tobytes()
+            assert got[2].tobytes() == ref[2].tobytes()
+        assert sub.tableau.T.tobytes() == twin.tableau.T.tobytes()
 
 
 class TestGreedyKnapsackLp:
@@ -286,7 +405,7 @@ class TestGreedyKnapsackRows:
         lams = rng.random((12, 3))
         objs = [_normalize(lam) @ inst.C for lam in lams]
         sub = RelaxedSubproblem(inst, fixings)
-        assert sub.lp.knapsack
+        assert sub.knapsack
         got = _solve_lps(sub, objs)
         for c, res in zip(objs, got):
             ref = solve_lp(sub, c)
@@ -299,7 +418,7 @@ class TestGreedyKnapsackRows:
         inst = generate(GeneratorSpec(family="GAP", p=3, seed=1, agents=2, jobs=3))
         sub = RelaxedSubproblem(inst)
         twin = RelaxedSubproblem(inst)
-        assert not sub.lp.knapsack
+        assert not sub.knapsack
         objs = [inst.C[k].astype(float) for k in range(3)]
         seen = []
         original = mobb.lp.solve_lp
@@ -405,6 +524,33 @@ class TestFrontier2d:
         monkeypatch.setattr(mobb.lp, "solve_lp", counted)
         inst = Instance(C=[[1, -64, -big, -27], [-31, -5, -8, -2]],
                         A=[[9, 41, 33, 46]], b=[64], senses=("le",))
+        points, _, stats = solve(inst)
+        assert stats.solved
+        assert (sorted(tuple(int(v) for v in y) for y in points)
+                == sorted(tuple(int(v) for v in s.image)
+                          for s in enumerate_nondominated(inst)))
+
+    def test_distinct_lexmins_at_large_values(self):
+        # the two lexicographic minima are 10 apart at 1e7: a relative
+        # tolerance would take them for one point and stop the search
+        big = 10**7
+        inst = Instance(C=[[big, big + 10, big + 3], [big + 10, big, big + 4]],
+                        A=[[1, 1, 1]], b=[1], senses=("ge",))
+        L = lower_bound_frontier(RelaxedSubproblem(inst))
+        pts = np.asarray(L.extreme_points) - big
+        assert np.allclose(pts, [[0, 10], [3, 4], [10, 0]], rtol=0.0, atol=1e-6)
+        assert len(L.hyperplanes) == 5
+
+    def test_cap_lost_to_rounding_keeps_the_stage1_point(self):
+        # at 1e15 the cap's 1e-7 slack is below one ulp, so the cap row can
+        # read infeasible after pricing out; the lexmin keeps its stage-1
+        # point, which no extreme point may undercut on a facet
+        from mobb.model import enumerate_nondominated
+        from mobb.solver import solve
+        inst = Instance(C=[[19, -17, -50], [-10**15, -18, 44]],
+                        A=[[4, 38, 5], [36, 38, 23]], b=[23, 48], senses=("le", "le"))
+        L = lower_bound_frontier(RelaxedSubproblem(inst))
+        assert np.all(np.asarray(L.extreme_points) >= L.facet_offsets)
         points, _, stats = solve(inst)
         assert stats.solved
         assert (sorted(tuple(int(v) for v in y) for y in points)

@@ -168,6 +168,15 @@ class IncumbentList:
     def images(self):
         return [s.image for s in self.entries]
 
+    def dominated(self, Y) -> np.ndarray:
+        """Mask of the rows of Y (integer images) that some entry weakly
+        dominates: exactly the candidates ``update`` would reject."""
+        Y = np.asarray(Y)
+        if not self.entries:
+            return np.zeros(len(Y), dtype=bool)
+        E = np.array(self.images())
+        return np.any(np.all(E[None, :, :] <= Y[:, None, :], axis=2), axis=1)
+
     def update(self, candidate: Solution):
         """Insert a feasible solution; returns (accepted, removed solutions)."""
         cand = candidate.image

@@ -36,11 +36,14 @@ class LpResult:
 
 
 def _pivot(T, basis, r, j):
-    """Make column j basic in row r: one Gauss-Jordan step over all of T."""
+    """Make column j basic in row r: one Gauss-Jordan step on the rows with a
+    nonzero in column j. Every value equals the step over all of T; only the
+    sign of a zero can differ, and no comparison sees it."""
     T[r] /= T[r, j]
     factor = T[:, j].copy()
     factor[r] = 0.0
-    T -= np.outer(factor, T[r])
+    nz = factor.nonzero()[0]
+    T[nz] -= factor[nz, None] * T[r]
     basis[r] = j
 
 
@@ -52,13 +55,12 @@ def _price_out(row, T, basis):
 def _optimize(T, basis, ncols):
     """Primal simplex on the reduced costs in T's last row; only the first
     ``ncols`` columns may enter. Returns OPTIMAL or UNBOUNDED."""
-    rows = T[:-1]
+    rows, rhs, obj = T[:-1], T[:-1, -1], T[-1, :ncols]   # views into T
     degenerate = 0
     while True:
-        obj = T[-1, :ncols]
         use_bland = degenerate > _BLAND_AFTER
         if use_bland:
-            cands = np.flatnonzero(obj < -_PIVOT_TOL)
+            cands = (obj < -_PIVOT_TOL).nonzero()[0]
             entering = int(cands[0]) if len(cands) else -1
         else:
             entering = int(np.argmin(obj))
@@ -67,14 +69,14 @@ def _optimize(T, basis, ncols):
         if entering < 0:
             return OPTIMAL
         col = rows[:, entering]
-        pos = col > _PIVOT_TOL
-        if not pos.any():
+        pos = (col > _PIVOT_TOL).nonzero()[0]
+        if not len(pos):
             return UNBOUNDED
-        ratios = np.where(pos, rows[:, -1] / np.where(pos, col, 1.0), np.inf)
+        ratios = rhs[pos] / col[pos]
         rmin = float(ratios.min())
         if rmin <= _PIVOT_TOL:
             degenerate += 1
-        tie = np.flatnonzero(np.abs(ratios - rmin) <= 1e-12)
+        tie = pos[np.abs(ratios - rmin) <= 1e-12]
         if use_bland and len(tie) > 1:
             leave = int(tie[np.argmin(basis[tie])])
         else:
@@ -88,13 +90,12 @@ def _dual_optimize(T, basis, ncols):
     may be negative (Koberstein 2005, ch. 3). Returns OPTIMAL once every basic
     value is nonnegative, or INFEASIBLE when a leaving row has no negative
     entry to pivot on."""
-    rows = T[:-1]
+    rows, rhs, obj = T[:-1], T[:-1, -1], T[-1, :ncols]   # views into T
     degenerate = 0
     while True:
-        rhs = rows[:, -1]
         use_bland = degenerate > _BLAND_AFTER
         if use_bland:
-            cands = np.flatnonzero(rhs < -_PIVOT_TOL)
+            cands = (rhs < -_PIVOT_TOL).nonzero()[0]
             if not len(cands):
                 return OPTIMAL
             leave = int(cands[np.argmin(basis[cands])])
@@ -103,19 +104,18 @@ def _dual_optimize(T, basis, ncols):
             if rhs[leave] >= -_PIVOT_TOL:
                 return OPTIMAL
         row = rows[leave, :ncols]
-        neg = row < -_PIVOT_TOL
-        if not neg.any():
+        neg = (row < -_PIVOT_TOL).nonzero()[0]
+        if not len(neg):
             if rhs[leave] < -_FEAS_TOL:
                 return INFEASIBLE
             # feasible within phase 1's tolerance: the rest is rounding noise
-            rows[leave, -1] = 0.0
+            rhs[leave] = 0.0
             continue
-        d = np.maximum(T[-1, :ncols], 0.0)
-        ratios = np.where(neg, d / np.where(neg, -row, 1.0), np.inf)
+        ratios = np.maximum(obj[neg], 0.0) / -row[neg]
         rmin = float(ratios.min())
         if rmin <= _PIVOT_TOL:
             degenerate += 1
-        tie = np.flatnonzero(ratios - rmin <= 1e-12)
+        tie = neg[ratios - rmin <= 1e-12]
         if use_bland or len(tie) == 1:
             entering = int(tie[0])
         else:

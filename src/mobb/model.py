@@ -111,6 +111,20 @@ class Instance:
         b_le.flags.writeable = False
         return A_le, b_le
 
+    @functools.cached_property
+    def ratio_scores(self) -> np.ndarray:
+        """Sum-of-ratios branching scores, computed once per instance: each
+        variable's summed absolute objective coefficients, divided by its
+        positive weight in the first all-nonnegative <= row, if there is one.
+        Read-only."""
+        scores = np.sum(np.abs(self.C), axis=0).astype(float)
+        for row, s in zip(self.A, self.senses):
+            if s == SENSE_LE and np.all(row >= 0) and np.any(row > 0):
+                scores = scores / np.where(row > 0, row, 1).astype(float)
+                break
+        scores.flags.writeable = False
+        return scores
+
 
 @dataclass(frozen=True)
 class Solution:

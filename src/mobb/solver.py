@@ -125,27 +125,10 @@ def prune_redundant_cuts(cuts, L: LowerBoundSet):
     return kept
 
 
-def _knapsack_row(instance: Instance):
-    """First all-nonnegative <= row: the designated weight row for sum-of-ratios."""
-    for i, s in enumerate(instance.senses):
-        row = instance.A[i]
-        if s == "le" and np.all(row >= 0) and np.any(row > 0):
-            return row
-    return None
-
-
 def sum_of_ratios_variable(instance: Instance, free):
-    """Free variable with the largest summed objective-to-weight ratio."""
-    row = _knapsack_row(instance)
-    scores = np.sum(np.abs(instance.C), axis=0).astype(float)
-    if row is not None:
-        denom = np.where(row > 0, row, 1).astype(float)
-        scores = scores / denom
-    best = free[0]
-    for j in free:
-        if scores[j] > scores[best]:
-            best = j
-    return best
+    """Free variable with the largest summed objective-to-weight ratio; the
+    first one among equal scores."""
+    return free[int(np.argmax(instance.ratio_scores[free]))]
 
 
 def choose_branch_variable(instance: Instance, L: LowerBoundSet, free, config: SolverConfig):
@@ -322,7 +305,13 @@ class Solver:
         if L.extreme_solutions:
             X = np.asarray(L.extreme_solutions)
             Xr = np.rint(X)
-            for i in np.where(np.max(np.abs(X - Xr), axis=1) <= _INT_TOL)[0]:
+            idx = np.where(np.max(np.abs(X - Xr), axis=1) <= _INT_TOL)[0]
+            if len(idx):
+                # U only improves, so an image it weakly dominates now would
+                # be rejected anyway: skip its feasibility check and update
+                Y = Xr[idx].astype(np.int64) @ self.instance.C.T
+                idx = idx[~self.U.dominated(Y)]
+            for i in idx:
                 xi = Xr[i].astype(np.int64)
                 if is_feasible(self.instance, xi):
                     self._accept(Solution.from_x(self.instance, xi))

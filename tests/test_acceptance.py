@@ -14,8 +14,9 @@ import time
 import numpy as np
 import pytest
 
-from mobb.bounds import (LocalUpperBoundSet, LowerBoundSet, hv_box_gap,
-                         hv_simplex_gap, local_ideal, spanning_points)
+from mobb.bounds import (LocalUpperBoundSet, LowerBoundSet, gap_values,
+                         hv_box_gap, hv_simplex_gap, local_ideal,
+                         spanning_points)
 from mobb.cli import (APPROACHES, BENCH_HEADER, PROFILE_HEADER,
                       approach_config, main)
 from mobb.instances import GeneratorSpec, generate, write_instance
@@ -106,6 +107,10 @@ class TestAcceptance:
             hg = hv_simplex_gap(lu1, spanning_points(L, lu1))
             assert abs(hg - 53.5 * 7.9 / 22.0) <= 1e-9
             assert abs(hg - 19.2113636363636) <= 1e-6
+            # the batched gaps the solver's node selection runs
+            lubs = np.array([lu1])
+            assert abs(gap_values(L, lubs, "lhg")[0] - 19.2113636363636) <= 1e-6
+            assert abs(gap_values(L, lubs, "hsz")[0] - 42.5) <= 1e-9
 
     def test_c3_cut_validity(self, capfd):
         with criterion("cut validity (rounded cuts vs oracle points)", capfd):

@@ -1,5 +1,7 @@
 """Tests for the simplex core, relaxations and frontier lower bound sets."""
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 import mobb.lp
 from mobb.bounds import LowerBoundSet
 from mobb.instances import GeneratorSpec, generate
-from mobb.lp import (_FACET_TOL, _LEX_CAP, INFEASIBLE, OPTIMAL, UNBOUNDED,
-                     InfeasibleSubproblem, RelaxedSubproblem, _dedupe_points,
+from mobb.lp import (_FACET_TOL, _FEAS_TOL, _LEX_CAP, _PIVOT_TOL, INFEASIBLE,
+                     OPTIMAL, UNBOUNDED, InfeasibleSubproblem,
+                     RelaxedSubproblem, _dedupe_points,
                      _distinct, _feasible_subsets, _greedy_knapsack_lp,
                      _greedy_knapsack_rows, _lexmin, _normalize, _OuterRegion,
                      _p_subsets, _solve_lps, _Tableau, lower_bound_frontier,
@@ -129,6 +132,208 @@ CHAIN_SPECS = [
     GeneratorSpec(family="CFLP", p=2, seed=5, facilities=3, customers=3),
     GeneratorSpec(family="KP", p=2, seed=5, items=12),
 ]
+
+
+def _pivot_dense(T, basis, r, j):
+    """The reference Gauss-Jordan step, over every row of T."""
+    T[r] /= T[r, j]
+    factor = T[:, j].copy()
+    factor[r] = 0.0
+    T -= np.outer(factor, T[r])
+    basis[r] = j
+
+
+def _optimize_dense(T, basis, ncols):
+    """The reference primal simplex: ratio tests masked over every row, and
+    ``_pivot_dense``. Reads ``mobb.lp._BLAND_AFTER`` when it runs."""
+    rows = T[:-1]
+    degenerate = 0
+    while True:
+        obj = T[-1, :ncols]
+        use_bland = degenerate > mobb.lp._BLAND_AFTER
+        if use_bland:
+            cands = np.flatnonzero(obj < -_PIVOT_TOL)
+            entering = int(cands[0]) if len(cands) else -1
+        else:
+            entering = int(np.argmin(obj))
+            if obj[entering] >= -_PIVOT_TOL:
+                entering = -1
+        if entering < 0:
+            return OPTIMAL
+        col = rows[:, entering]
+        pos = col > _PIVOT_TOL
+        if not pos.any():
+            return UNBOUNDED
+        ratios = np.where(pos, rows[:, -1] / np.where(pos, col, 1.0), np.inf)
+        rmin = float(ratios.min())
+        if rmin <= _PIVOT_TOL:
+            degenerate += 1
+        tie = np.flatnonzero(np.abs(ratios - rmin) <= 1e-12)
+        if use_bland and len(tie) > 1:
+            leave = int(tie[np.argmin(basis[tie])])
+        else:
+            leave = int(tie[0])
+        _pivot_dense(T, basis, leave, entering)
+
+
+def _dual_optimize_dense(T, basis, ncols):
+    """The reference dual simplex, masked and dense as ``_optimize_dense``."""
+    rows = T[:-1]
+    degenerate = 0
+    while True:
+        rhs = rows[:, -1]
+        use_bland = degenerate > mobb.lp._BLAND_AFTER
+        if use_bland:
+            cands = np.flatnonzero(rhs < -_PIVOT_TOL)
+            if not len(cands):
+                return OPTIMAL
+            leave = int(cands[np.argmin(basis[cands])])
+        else:
+            leave = int(np.argmin(rhs))
+            if rhs[leave] >= -_PIVOT_TOL:
+                return OPTIMAL
+        row = rows[leave, :ncols]
+        neg = row < -_PIVOT_TOL
+        if not neg.any():
+            if rhs[leave] < -_FEAS_TOL:
+                return INFEASIBLE
+            rows[leave, -1] = 0.0
+            continue
+        d = np.maximum(T[-1, :ncols], 0.0)
+        ratios = np.where(neg, d / np.where(neg, -row, 1.0), np.inf)
+        rmin = float(ratios.min())
+        if rmin <= _PIVOT_TOL:
+            degenerate += 1
+        tie = np.flatnonzero(ratios - rmin <= 1e-12)
+        if use_bland or len(tie) == 1:
+            entering = int(tie[0])
+        else:
+            entering = int(tie[np.argmin(row[tie])])
+        _pivot_dense(T, basis, leave, entering)
+
+
+_DENSE = {"_pivot": _pivot_dense, "_optimize": _optimize_dense,
+          "_dual_optimize": _dual_optimize_dense}
+
+
+def _lockstep(kernel, reference, T, basis, *args):
+    """Run ``reference`` on copies, then ``kernel`` in place: same status, and
+    basis and T equal under ==, so a zero may differ only in its sign."""
+    T_ref, basis_ref = T.copy(), basis.copy()
+    want = reference(T_ref, basis_ref, *args)
+    got = kernel(T, basis, *args)
+    assert got == want
+    assert np.array_equal(basis, basis_ref)
+    assert np.array_equal(T, T_ref)
+    return got
+
+
+class _Lockstep:
+    """Binds ``mobb.lp``'s kernel functions to wrappers that check every call
+    against the dense reference; counts the calls made from outside the
+    kernel (a pivot from phase 1's drive-out of artificials, not from a
+    simplex loop)."""
+
+    def __init__(self, mp):
+        self.calls = collections.Counter()
+        self.depth = 0
+        for name, ref in _DENSE.items():
+            mp.setattr(mobb.lp, name, self._wrap(name, getattr(mobb.lp, name), ref))
+
+    def _wrap(self, name, kernel, ref):
+        def checked(T, basis, *args):
+            if not self.depth:
+                self.calls[name] += 1
+            self.depth += 1
+            try:
+                return _lockstep(kernel, ref, T, basis, *args)
+            finally:
+                self.depth -= 1
+        return checked
+
+
+def _random_tableau(rng, m, nv, dual, integral):
+    """Constraint rows [A | I | b] on a slack basis with reduced costs c on
+    the structural columns: c >= 0 for the dual simplex, b >= 0 for the
+    primal. Small integers give ties and degenerate pivots."""
+    def draw(shape):
+        vals = rng.integers(-3, 4, shape) * (rng.random(shape) < 0.5)
+        return vals.astype(float) if integral else vals * rng.random(shape)
+    T = np.zeros((m + 1, nv + m + 1))
+    T[:m, :nv] = draw((m, nv))
+    T[:m, nv:nv + m] = np.eye(m)
+    T[:m, -1] = draw(m)
+    T[-1, :nv] = draw(nv)
+    if dual:
+        T[-1, :nv] = np.abs(T[-1, :nv])
+        # a value inside phase 1's tolerance below zero takes the rounding
+        # noise branch
+        T[:m, -1][rng.random(m) < 0.15] = -0.5 * _FEAS_TOL
+    else:
+        T[:m, -1] = np.abs(T[:m, -1])
+    return T, nv + np.arange(m)
+
+
+class TestKernelLockstep:
+    """The kernel pivots only the rows its column touches and runs its ratio
+    tests on the candidate rows; every call must match the dense reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8),
+           st.booleans(), st.booleans(), st.sampled_from([1000, 0]))
+    def test_random_tableaus(self, seed, m, nv, dual, integral, bland_after):
+        rng = np.random.default_rng(seed)
+        T, basis = _random_tableau(rng, m, nv, dual, integral)
+        kernel, ref = ((mobb.lp._dual_optimize, _dual_optimize_dense) if dual
+                       else (mobb.lp._optimize, _optimize_dense))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mobb.lp, "_BLAND_AFTER", bland_after)
+            _lockstep(kernel, ref, T, basis, T.shape[1] - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6),
+           st.sampled_from([1000, 0]))
+    def test_random_pivots(self, seed, m, w, bland_after):
+        rng = np.random.default_rng(seed)
+        T = rng.integers(-3, 4, (m + 1, w)) * rng.random((m + 1, w))
+        r, j = int(rng.integers(m)), int(rng.integers(w))
+        T[r, j] = float(rng.integers(1, 4)) * rng.choice([-1.0, 1.0])
+        _lockstep(mobb.lp._pivot, _pivot_dense, T, np.arange(m), r, j)
+
+    @pytest.mark.parametrize("bland_after", [1000, 0])
+    @pytest.mark.parametrize("family", range(len(CHAIN_SPECS)))
+    def test_phase1_frontier_and_warm_children(self, family, bland_after):
+        inst = generate(CHAIN_SPECS[family])
+        rng = np.random.default_rng(family)
+        cuts = _level_cut(inst, rng) if inst.m == 1 else []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mobb.lp, "_BLAND_AFTER", bland_after)
+            lock = _Lockstep(mp)
+            sub = RelaxedSubproblem(inst, {}, cuts)
+            lower_bound_frontier(sub)
+            for j in range(3):
+                for v in (0, 1):
+                    child = sub.branch(j, v)
+                    if solve_lp(child, inst.C[0] + inst.C[1]).status == OPTIMAL:
+                        lower_bound_frontier(child)
+        assert lock.calls["_optimize"] >= 10
+        assert lock.calls["_dual_optimize"] >= 3
+        # GAP, UFLP and CFLP have equality rows: phase 1 ends with
+        # artificials basic at zero and pivots them out
+        assert (lock.calls["_pivot"] > 0) == (inst.m > 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6))
+    def test_phase1_on_random_equalities(self, seed, m, nv):
+        # each row twice, as a.y <= b and -a.y <= -b, as le_normalized writes
+        # an equality; the second copy starts on an artificial
+        rng = np.random.default_rng(seed)
+        A = rng.integers(-2, 3, (m, nv)).astype(float)
+        b = (np.abs(A) @ rng.integers(0, 2, nv)).astype(float)
+        with pytest.MonkeyPatch.context() as mp:
+            _Lockstep(mp)
+            _Tableau.phase1(np.vstack([A, -A, np.eye(nv)]),
+                            np.concatenate([b, -b, np.ones(nv)]))
 
 
 class TestWarmChildren:
@@ -556,6 +761,18 @@ class TestFrontier2d:
         assert (sorted(tuple(int(v) for v in y) for y in points)
                 == sorted(tuple(int(v) for v in s.image)
                           for s in enumerate_nondominated(inst)))
+
+    def test_lexmin_at_large_values_is_exact(self):
+        # min z_1 has the one minimizer x = (1, 6/19, 0), so the
+        # lexicographic minimum is z_0 = 19 - 17 * 6/19 there. A cap slack
+        # of some ulps of v_1 = -1e15 would be several units and let stage 2
+        # trade z_1 for a lower z_0
+        inst = Instance(C=[[19, -17, -50], [-10**15, -18, 44]],
+                        A=[[4, 38, 5], [36, 38, 23]], b=[23, 48], senses=("le", "le"))
+        vk, y, x = _lexmin(RelaxedSubproblem(inst), 1, 0)
+        assert np.allclose(x, [1.0, 6 / 19, 0.0], rtol=0.0, atol=1e-12)
+        assert y[0] == pytest.approx(19 - 17 * 6 / 19, rel=0.0, abs=1e-9)
+        assert vk == pytest.approx(-10**15 - 18 * 6 / 19, rel=1e-15)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))

@@ -6,13 +6,18 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mobb.bounds import LowerBoundSet
+import mobb.solver
+from mobb.bounds import IncumbentList, LowerBoundSet, surviving_mask
 from mobb.instances import GeneratorSpec, generate
-from mobb.model import Instance, ModelError, enumerate_nondominated
-from mobb.solver import (Node, SolverConfig, Solver, _Queue, add_level_cut,
-                         choose_branch_variable, prune_redundant_cuts,
-                         slb_weight, solve, sum_of_ratios_variable)
+from mobb.model import (Instance, ModelError, Solution, enumerate_nondominated,
+                        is_feasible)
+from mobb.solver import (_INT_TOL, Node, SolverConfig, Solver, _Queue,
+                         add_level_cut, choose_branch_variable,
+                         prune_redundant_cuts, slb_weight, solve,
+                         sum_of_ratios_variable)
 
 
 def tiny_kp():
@@ -208,6 +213,32 @@ class TestBranchingRules:
         inst = Instance(C=[[2, 2], [2, 2]], A=[[1, 1]], b=[2], senses=("le",))
         assert sum_of_ratios_variable(inst, [0, 1]) == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 8))
+    def test_sum_of_ratios_equals_loop(self, seed, m, n):
+        rng = np.random.default_rng(seed)
+        inst = Instance(C=rng.integers(-3, 4, (2, n)), A=rng.integers(-1, 4, (m, n)),
+                        b=rng.integers(0, 9, m),
+                        senses=tuple(rng.choice(["le", "ge", "eq"], m)))
+        free = sorted(rng.permutation(n)[:int(rng.integers(1, n + 1))].tolist())
+        assert sum_of_ratios_variable(inst, free) == _sum_of_ratios_loop(inst, free)
+
+
+def _sum_of_ratios_loop(instance, free):
+    """The reference: the first all-nonnegative <= row found by a scan, and
+    the free variable of largest score by a strict > loop."""
+    scores = np.sum(np.abs(instance.C), axis=0).astype(float)
+    for i, s in enumerate(instance.senses):
+        row = instance.A[i]
+        if s == "le" and np.all(row >= 0) and np.any(row > 0):
+            scores = scores / np.where(row > 0, row, 1).astype(float)
+            break
+    best = free[0]
+    for j in free:
+        if scores[j] > scores[best]:
+            best = j
+    return best
+
 
 class TestSlbWeight:
     def test_two_point_normal(self):
@@ -362,3 +393,76 @@ class TestDeterminism:
         assert first[0] == second[0]
         assert first[2].nodes_explored == second[2].nodes_explored
         assert first[2].ips == second[2].ips
+
+
+class _UnfilteredSolver(Solver):
+    """The reference ``_surviving``: every integral extreme solution goes
+    through ``is_feasible`` and the incumbent update, with no prefilter."""
+
+    def _surviving(self, L):
+        if L.extreme_solutions:
+            X = np.asarray(L.extreme_solutions)
+            Xr = np.rint(X)
+            for i in np.where(np.max(np.abs(X - Xr), axis=1) <= _INT_TOL)[0]:
+                xi = Xr[i].astype(np.int64)
+                if mobb.solver.is_feasible(self.instance, xi):
+                    self._accept(Solution.from_x(self.instance, xi))
+        return self.K.arr[surviving_mask(L, self.K.arr)]
+
+
+class TestIncumbentPrefilter:
+    """``Solver._surviving`` skips the images the incumbents already weakly
+    dominate; the incumbent list and the lubs must not notice."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 12),
+           st.integers(0, 12))
+    def test_drops_exactly_what_update_rejects(self, seed, p, n_inc, n_cand):
+        rng = np.random.default_rng(seed)
+        U = IncumbentList()
+        for y in rng.integers(-4, 5, (n_inc, p)):
+            U.update(Solution(x=(), image=tuple(int(v) for v in y)))
+        Y = rng.integers(-4, 5, (n_cand, p))
+        dropped = U.dominated(Y)
+        assert dropped.shape == (n_cand,)
+        for y, drop in zip(Y, dropped.tolist()):
+            twin = IncumbentList(list(U.entries))
+            accepted, _ = twin.update(Solution(x=(), image=tuple(int(v) for v in y)))
+            assert drop == (not accepted)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(["KP", "GAP", "UFLP"]), st.integers(2, 3),
+           st.integers(0, 1000), st.sampled_from(["depth", "lhg", "hsz"]),
+           st.booleans(), st.booleans(), st.booleans())
+    def test_solve_leaves_incumbents_and_lubs_as_unfiltered(
+            self, family, p, seed, strategy, warmstart, ec, slb):
+        size = {"KP": dict(items=9), "GAP": dict(agents=2, jobs=4),
+                "UFLP": dict(facilities=2, customers=3)}[family]
+        inst = generate(GeneratorSpec(family=family, p=p, seed=seed, **size))
+        cfg = SolverConfig(node_selection=strategy, warmstart=warmstart,
+                           ec_enabled=ec, slb_enabled=slb, slb_level=2,
+                           refine_max=5)
+        got, ref = Solver(inst, cfg), _UnfilteredSolver(inst, cfg)
+        got_points, _, got_stats = got.solve()
+        ref_points, _, ref_stats = ref.solve()
+        assert got.U.entries == ref.U.entries
+        assert np.array_equal(got.K.arr, ref.K.arr)
+        assert got_points == ref_points
+        assert got_stats.nodes_explored == ref_stats.nodes_explored
+        assert got_stats.fathomed == ref_stats.fathomed
+
+    def test_skips_feasibility_checks(self, monkeypatch):
+        checks = []
+
+        def counted(instance, x):
+            checks.append(1)
+            return is_feasible(instance, x)
+
+        monkeypatch.setattr(mobb.solver, "is_feasible", counted)
+        inst = generate(GeneratorSpec(family="GAP", p=2, seed=2, agents=3, jobs=5))
+        counts = []
+        for cls in (Solver, _UnfilteredSolver):
+            checks.clear()
+            cls(inst, SolverConfig(node_selection="lhg")).solve()
+            counts.append(len(checks))
+        assert counts[0] < counts[1]

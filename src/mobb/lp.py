@@ -208,6 +208,32 @@ class _Tableau:
         T[m] = _price_out(row, T, self.basis)
         return _Tableau(T, np.append(self.basis, w - 1), self.nv)
 
+    def fixed(self, c, v) -> "_Tableau":
+        """A copy with structural column c fixed to v and deleted, or None
+        when y_c's row shows that y_c = v is infeasible. The copy keeps the
+        reduced costs, so it stays dual feasible when this tableau is optimal.
+        A basic y_c hands its row to the column of a dual ratio test over the
+        entries whose sign keeps that column nonnegative, or over both signs
+        at a zero right-hand side; the row always has a nonzero entry in some
+        nonbasic slack column, since the basis matrix is invertible."""
+        T = np.delete(self.T, c, axis=1)
+        T[:, -1] -= v * self.T[:, c]
+        basis = self.basis - (self.basis > c)
+        r = np.flatnonzero(self.basis == c)
+        if len(r):
+            r = int(r[0])
+            row, rhs = T[r, :-1], T[r, -1]
+            cand = np.abs(row) > _PIVOT_TOL
+            if abs(rhs) > _FEAS_TOL:
+                cand &= (row > 0) == (rhs > 0)
+            cand = cand.nonzero()[0]
+            if not len(cand):
+                return None
+            ratios = np.maximum(T[-1, cand], 0.0) / np.abs(row[cand])
+            tie = cand[ratios - ratios.min() <= 1e-12]
+            _pivot(T, basis, r, int(tie[np.argmax(np.abs(row[tie]))]))
+        return _Tableau(T, basis, self.nv - 1)
+
 
 class RelaxedSubproblem:
     """A node's relaxation and its one LP: fixings, the inherited pool of
@@ -220,7 +246,10 @@ class RelaxedSubproblem:
     solve runs phase 1. Later objectives start phase 2 from the last optimal
     basis, which stays primal feasible because only the objective changes
     (Chvatal 1983, ch. 10). A copy made by ``with_row`` or ``branch`` needs no
-    phase 1 either: it starts from this subproblem's tableau.
+    phase 1 either: its first solve starts from this subproblem's tableau,
+    applies the copy's ``pending`` steps to it and restores feasibility by
+    dual simplex. Every fixing is substituted, so the tableau's structural
+    columns are always ``cols``, the free variables.
     """
 
     def __init__(self, instance: Instance, fixings=None, cut_rows=None):
@@ -250,11 +279,9 @@ class RelaxedSubproblem:
         # fractional knapsack: one nonnegative row plus box bounds
         self.knapsack = len(self.Af) == 1 and bool(np.all(self.Af[0] >= 0))
         self.tableau = None
-        # fixings held by appended rows instead of substituted (see branch),
-        # and the rows the next simplex solve appends
-        self.row_idx = np.empty(0, dtype=np.int64)
-        self.row_x = np.empty(0)
-        self.pending_rows = []
+        # _Tableau -> _Tableau steps (a fixing or an appended row) the next
+        # simplex solve applies to a copy of ``tableau``, in order
+        self.pending = []
 
     def free_vars(self):
         return [j for j in range(self.instance.n) if j not in self.fixings]
@@ -264,7 +291,6 @@ class RelaxedSubproblem:
         x = np.zeros(self.instance.n)
         x[self.fixed_idx] = self.xf
         x[self.cols] = y
-        x[self.row_idx] = self.row_x
         return x
 
     def with_row(self, a, rhs) -> "RelaxedSubproblem":
@@ -281,24 +307,34 @@ class RelaxedSubproblem:
             raise ValueError("with_row needs a simplex tableau")
         extended = copy.copy(self)
         extended.knapsack = False     # the greedy would ignore the row
-        extended.pending_rows = self.pending_rows + [(a, float(rhs))]
+        extended.pending = self.pending + [
+            functools.partial(_Tableau.with_row, a=a, rhs=float(rhs))]
         return extended
 
     def branch(self, j: int, v: int) -> "RelaxedSubproblem":
-        """The child with x_j fixed to v. When this subproblem has a simplex
-        tableau and is not a knapsack, the child is its ``with_row`` copy for
-        the row x_j <= 0 (v = 0) or -x_j <= -1 (v = 1), and x_j stays a
-        column; otherwise the child is built afresh."""
+        """The child with x_j fixed to v.
+
+        When this subproblem has a simplex tableau and is not a knapsack, the
+        child's first solve starts from a copy of that tableau as it then
+        stands: x_j leaves the basis if it is basic (``_Tableau.fixed``),
+        moves to v and its column is deleted, and a dual simplex restores
+        feasibility. Until then the child shares the tableau, not this
+        subproblem. Otherwise the child is built afresh.
+        """
         fixings = {**self.fixings, j: v}
         if self.tableau is None or self.knapsack:
             return RelaxedSubproblem(self.instance, fixings, list(self.cut_rows))
-        a = np.zeros(len(self.cols))
-        a[np.searchsorted(self.cols, j)] = 1.0 if v == 0 else -1.0
-        child = self.with_row(a, -float(v))
+        c = int(np.searchsorted(self.cols, j))
+        pos = int(np.searchsorted(self.fixed_idx, j))
+        # Af and bf stay an ancestor's: only phase 1 and the greedy read them
+        child = copy.copy(self)
         child.fixings = fixings
         child.cut_rows = list(self.cut_rows)
-        child.row_idx = np.append(self.row_idx, j)
-        child.row_x = np.append(self.row_x, float(v))
+        child.cols = np.delete(self.cols, c)
+        child.fixed_idx = np.insert(self.fixed_idx, pos, j)
+        child.xf = np.insert(self.xf, pos, float(v))
+        child.pending = self.pending + [
+            functools.partial(_Tableau.fixed, c=c, v=float(v))]
         return child
 
     def simplex(self, cf):
@@ -311,14 +347,17 @@ class RelaxedSubproblem:
             A = np.vstack([self.Af, np.eye(k)])
             b = np.concatenate([self.bf, np.ones(k)])
             self.tableau = _Tableau.phase1(A, b)
-        elif self.pending_rows:
+        elif self.pending:
             tab = self.tableau
-            for a, rhs in self.pending_rows:
-                tab = tab.with_row(a, rhs)
-            self.pending_rows = []
+            for step in self.pending:
+                tab = step(tab)
+                if tab is None:
+                    break
+            else:
+                if _dual_optimize(tab.T, tab.basis, tab.T.shape[1] - 1) == INFEASIBLE:
+                    tab = None
+            self.pending = []
             self.tableau = tab
-            if _dual_optimize(tab.T, tab.basis, tab.T.shape[1] - 1) == INFEASIBLE:
-                self.tableau = None
         if self.tableau is None:
             self.infeasible = True
             return None
@@ -406,7 +445,8 @@ def solve_lp(sub: RelaxedSubproblem, c) -> LpResult:
         return _knapsack_result(
             sub, c, _greedy_knapsack_lp(c[sub.cols], sub.Af[0], sub.bf[0]))
     offset = float(c[sub.fixed_idx] @ sub.xf)
-    if not len(sub.cols):
+    # a branched child learns whether its fixings hold from its first solve
+    if not len(sub.cols) and not sub.pending:
         return LpResult(status=OPTIMAL, value=offset, x=sub.full_x(0.0))
     point = sub.simplex(c[sub.cols])
     if point is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -81,6 +82,9 @@ class Node:
     cuts: list                       # [(np.ndarray int coeffs, int rhs)] a.x >= rhs
     parent_facet_offsets: np.ndarray = None
     parent_surviving_lubs: list = None
+    # the relaxation branched from the parent's, sharing its tableau until the
+    # first solve; None builds it afresh
+    sub: RelaxedSubproblem = None
 
 
 @dataclass
@@ -342,7 +346,9 @@ class Solver:
             self.terminal_enumeration(node)
             return "enumeration", False, False
 
-        sub = RelaxedSubproblem(inst, dict(node.fixings), list(node.cuts))
+        sub = node.sub
+        if sub is None:
+            sub = RelaxedSubproblem(inst, dict(node.fixings), list(node.cuts))
         use_slb = (cfg.slb_enabled and node.depth >= cfg.slb_level
                    and node.depth % cfg.slb_level == 0)
         if use_slb:
@@ -375,12 +381,18 @@ class Solver:
         node.cuts = prune_redundant_cuts(node.cuts, L)
         j = choose_branch_variable(inst, L, free, cfg)
         offsets = local_ideal(L)
+        # the children start from this node's tableau as the bound left it,
+        # unless they are knapsacks or SLB or pruning changed their cut rows
+        warm = (sub.tableau is not None and not sub.knapsack
+                and len(node.cuts) == len(sub.cut_rows)
+                and all(map(operator.is_, node.cuts, sub.cut_rows)))
         for v in (0, 1):
             fixings = dict(node.fixings)
             fixings[j] = v
             queue.push(Node(depth=node.depth + 1, fixings=fixings, gap=gap,
                             cuts=list(node.cuts), parent_facet_offsets=offsets,
-                            parent_surviving_lubs=surviving.copy()))
+                            parent_surviving_lubs=surviving.copy(),
+                            sub=sub.branch(j, v) if warm else None))
         return "branched", use_slb, ec
 
     # -- main loop ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the simplex core, relaxations and frontier lower bound sets."""
 
 import collections
+import itertools
 
 import numpy as np
 import pytest
@@ -231,14 +232,24 @@ def _lockstep(kernel, reference, T, basis, *args):
 class _Lockstep:
     """Binds ``mobb.lp``'s kernel functions to wrappers that check every call
     against the dense reference; counts the calls made from outside the
-    kernel (a pivot from phase 1's drive-out of artificials, not from a
-    simplex loop)."""
+    kernel (a pivot from phase 1's drive-out of artificials or from a
+    fixing's ``_Tableau.fixed``, not from a simplex loop), and separately the
+    pivots made by phase 1's drive-out."""
 
     def __init__(self, mp):
         self.calls = collections.Counter()
         self.depth = 0
+        self.phase1_pivots = 0
         for name, ref in _DENSE.items():
             mp.setattr(mobb.lp, name, self._wrap(name, getattr(mobb.lp, name), ref))
+        phase1 = _Tableau.phase1.__func__
+
+        def counted(cls, A, b):
+            before = self.calls["_pivot"]
+            tab = phase1(cls, A, b)
+            self.phase1_pivots += self.calls["_pivot"] - before
+            return tab
+        mp.setattr(_Tableau, "phase1", classmethod(counted))
 
     def _wrap(self, name, kernel, ref):
         def checked(T, basis, *args):
@@ -320,7 +331,9 @@ class TestKernelLockstep:
         assert lock.calls["_dual_optimize"] >= 3
         # GAP, UFLP and CFLP have equality rows: phase 1 ends with
         # artificials basic at zero and pivots them out
-        assert (lock.calls["_pivot"] > 0) == (inst.m > 1)
+        assert (lock.phase1_pivots > 0) == (inst.m > 1)
+        # a fixing of a basic variable pivots it out of the basis
+        assert lock.calls["_pivot"] > lock.phase1_pivots
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6))
@@ -334,6 +347,19 @@ class TestKernelLockstep:
             _Lockstep(mp)
             _Tableau.phase1(np.vstack([A, -A, np.eye(nv)]),
                             np.concatenate([b, -b, np.ones(nv)]))
+
+
+def _matches_fresh(sub, c):
+    """``solve_lp(sub, c)`` against a fresh subproblem with the same fixings
+    and cut rows: the same status, the value within 1e-7, every fixing exact."""
+    got = solve_lp(sub, c)
+    ref = solve_lp(RelaxedSubproblem(sub.instance, dict(sub.fixings),
+                                     list(sub.cut_rows)), c)
+    assert got.status == ref.status
+    if got.status == OPTIMAL:
+        assert abs(got.value - ref.value) <= 1e-7
+        assert all(got.x[i] == u for i, u in sub.fixings.items())
+    return got
 
 
 class TestWarmChildren:
@@ -358,15 +384,8 @@ class TestWarmChildren:
             for v in (0, 1):
                 child = sub.branch(j, v)
                 warm += child.tableau is not None
-                got = solve_lp(child, c)
-                ref = solve_lp(RelaxedSubproblem(inst, dict(child.fixings), cuts), c)
-                assert got.status == ref.status
-                if got.status == INFEASIBLE:
-                    continue
-                assert abs(got.value - ref.value) <= 1e-7
-                assert got.x[j] == v
-                assert all(got.x[i] == u for i, u in child.fixings.items())
-                feasible.append(child)
+                if _matches_fresh(child, c).status == OPTIMAL:
+                    feasible.append(child)
             if not feasible:
                 break
             sub = feasible[int(rng.integers(len(feasible)))]
@@ -409,7 +428,8 @@ class TestWarmChildren:
         assert solved >= 4
 
     def test_child_branched_before_its_solve(self):
-        # the grandchild appends both rows on its first solve
+        # the grandchild substitutes both fixings on its first solve, and the
+        # child, solved after it, still starts from the parent's tableau
         inst = generate(CHAIN_SPECS[0])
         c = inst.C[0] + inst.C[1]
         sub = RelaxedSubproblem(inst)
@@ -417,15 +437,54 @@ class TestWarmChildren:
         checked = 0
         for j, k in ((0, 1), (2, 7), (5, 3)):
             for v, u in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                grand = sub.branch(j, v).branch(k, u)
-                got = solve_lp(grand, c)
-                ref = solve_lp(RelaxedSubproblem(inst, {j: v, k: u}), c)
-                assert got.status == ref.status
-                if got.status == OPTIMAL:
-                    assert abs(got.value - ref.value) <= 1e-7
-                    assert (got.x[j], got.x[k]) == (v, u)
-                    checked += 1
+                child = sub.branch(j, v)
+                grand = child.branch(k, u)
+                checked += _matches_fresh(grand, c).status == OPTIMAL
+                _matches_fresh(child, c)
         assert checked >= 6
+
+    def test_last_free_variable(self):
+        # x0 + x1 + x2 = 2: every chain of warm children down to no free
+        # variable, in every order, ends at one of the three points or at an
+        # infeasible child whose parent was feasible
+        inst = Instance(C=[[1, 2, 4], [4, 1, 2]], A=[[1, 1, 1]], b=[2],
+                        senses=("eq",))
+        c = (inst.C[0] + inst.C[1]).astype(float)
+        ends = collections.Counter()
+        for order in itertools.permutations(range(3)):
+            for values in itertools.product((0, 1), repeat=3):
+                sub = RelaxedSubproblem(inst)
+                solve_lp(sub, c)
+                for j, v in zip(order, values):
+                    sub = sub.branch(j, v)
+                    assert sub.tableau is not None
+                    status = _matches_fresh(sub, c).status
+                    if status == INFEASIBLE:
+                        break
+                if not sub.free_vars():
+                    ends[status] += 1
+        assert ends == {OPTIMAL: 18, INFEASIBLE: 18}
+
+    @pytest.mark.parametrize("family", range(len(CHAIN_SPECS)))
+    def test_basic_variable_already_at_its_value(self, family):
+        # a degenerate basis holds y_j basic at 0 or 1; fixing it there
+        # leaves its row with a zero right-hand side and no basic column
+        inst = generate(CHAIN_SPECS[family])
+        rng = np.random.default_rng(family)
+        cuts = _level_cut(inst, rng) if inst.m == 1 else []
+        sub = RelaxedSubproblem(inst, {}, cuts)
+        checked = 0
+        for _ in range(8):
+            c = rng.random(inst.p) @ inst.C
+            solve_lp(sub, c)
+            tab = sub.tableau
+            for r in np.flatnonzero(tab.basis < tab.nv):
+                j = int(sub.cols[tab.basis[r]])
+                for v in (0, 1):
+                    if tab.T[r, -1] == v:
+                        assert _matches_fresh(sub.branch(j, v), c).status == OPTIMAL
+                        checked += 1
+        assert checked >= 1
 
     def test_heavy_item_fixed_in_is_infeasible(self):
         # a knapsack with a loose level cut goes through the simplex; item 2

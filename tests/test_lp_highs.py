@@ -3,15 +3,18 @@
 Each subproblem solves a sequence of objectives on one RelaxedSubproblem, so
 every solve after the first starts phase 2 from the previous optimal basis,
 and both stages of the lexicographic minimum run on its tableau. Chains of
-``RelaxedSubproblem.branch`` children start each solve from the parent's
-optimal tableau by dual simplex.
+``RelaxedSubproblem.branch`` children substitute each fixing into the
+parent's optimal tableau and start from it by dual simplex: the tableau of
+the parent's last ``solve_lp``, or the one ``lower_bound_frontier`` leaves,
+as the branch-and-bound solver branches from.
 """
 
 import numpy as np
 import pytest
 
 from mobb.instances import GeneratorSpec, generate
-from mobb.lp import INFEASIBLE, OPTIMAL, RelaxedSubproblem, _lexmin, solve_lp
+from mobb.lp import (INFEASIBLE, OPTIMAL, RelaxedSubproblem, _lexmin,
+                     lower_bound_frontier, solve_lp)
 from mobb.model import enumerate_nondominated
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -118,30 +121,36 @@ def test_lexmin_stages_match_highs(spec):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
 def test_branch_chains_match_highs(spec):
+    # the same chains twice: each parent branched right after solve_lp(sub, c),
+    # then from the tableau its bound set leaves, optimal for the last
+    # dichotomic weight and not for c
     inst = generate(spec)
-    rng = np.random.default_rng(13)
-    solved = infeasible = 0
-    for _, cuts in _subproblems(inst, rng, 8):
-        c = _objectives(inst, rng)[int(rng.integers(7))]
-        sub = RelaxedSubproblem(inst, {}, cuts)
-        if solve_lp(sub, c).status == INFEASIBLE:
-            continue
-        while len(sub.free_vars()):
-            j = int(rng.choice(sub.free_vars()))
-            feasible = []
-            for v in (0, 1):
-                child = sub.branch(j, v)
-                res = solve_lp(child, c)
-                status, value = _highs(inst, child.fixings, cuts, c)
-                assert res.status == status
-                if status == INFEASIBLE:
-                    infeasible += 1
-                    continue
-                solved += 1
-                assert res.value == pytest.approx(value, abs=TOL)
-                assert float(c @ res.x) == pytest.approx(res.value, abs=TOL)
-                feasible.append(child)
-            if not feasible:
-                break
-            sub = feasible[int(rng.integers(len(feasible)))]
-    assert solved >= 100 and infeasible >= 40
+    for frontier in (False, True):
+        rng = np.random.default_rng(13)
+        solved = infeasible = 0
+        for _, cuts in _subproblems(inst, rng, 8):
+            c = _objectives(inst, rng)[int(rng.integers(7))]
+            sub = RelaxedSubproblem(inst, {}, cuts)
+            if solve_lp(sub, c).status == INFEASIBLE:
+                continue
+            while len(sub.free_vars()):
+                if frontier:
+                    lower_bound_frontier(sub)
+                j = int(rng.choice(sub.free_vars()))
+                feasible = []
+                for v in (0, 1):
+                    child = sub.branch(j, v)
+                    res = solve_lp(child, c)
+                    status, value = _highs(inst, child.fixings, cuts, c)
+                    assert res.status == status
+                    if status == INFEASIBLE:
+                        infeasible += 1
+                        continue
+                    solved += 1
+                    assert res.value == pytest.approx(value, abs=TOL)
+                    assert float(c @ res.x) == pytest.approx(res.value, abs=TOL)
+                    feasible.append(child)
+                if not feasible:
+                    break
+                sub = feasible[int(rng.integers(len(feasible)))]
+        assert solved >= 100 and infeasible >= 40

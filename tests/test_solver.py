@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import mobb.solver
 from mobb.bounds import IncumbentList, LowerBoundSet, surviving_mask
 from mobb.instances import GeneratorSpec, generate
+from mobb.lp import RelaxedSubproblem, _Tableau
 from mobb.model import (Instance, ModelError, Solution, enumerate_nondominated,
                         is_feasible)
 from mobb.solver import (_INT_TOL, Node, SolverConfig, Solver, _Queue,
@@ -466,3 +468,93 @@ class TestIncumbentPrefilter:
             cls(inst, SolverConfig(node_selection="lhg")).solve()
             counts.append(len(checks))
         assert counts[0] < counts[1]
+
+
+class _FreshChildSolver(Solver):
+    """The reference: every node builds its relaxation afresh, with phase 1,
+    instead of branching from its parent's tableau."""
+
+    def process_node(self, node, iteration, queue):
+        node.sub = None
+        return super().process_node(node, iteration, queue)
+
+
+P2_GENERAL = [
+    GeneratorSpec(family="GAP", p=2, seed=2, agents=3, jobs=5),
+    GeneratorSpec(family="UFLP", p=2, seed=2, facilities=2, customers=4),
+    GeneratorSpec(family="CFLP", p=2, seed=2, facilities=3, customers=3),
+]
+
+
+class TestWarmChildren:
+    """A child node branches from its parent's tableau (``Node.sub``) when
+    the parent has one and the child keeps its cut rows."""
+
+    @pytest.mark.parametrize("spec", P2_GENERAL, ids=lambda s: s.family)
+    def test_phase1_runs_once_per_solve(self, monkeypatch, spec):
+        runs = []
+        phase1 = _Tableau.phase1.__func__
+
+        def counted(cls, A, b):
+            runs.append(1)
+            return phase1(cls, A, b)
+
+        monkeypatch.setattr(_Tableau, "phase1", classmethod(counted))
+        inst = generate(spec)
+        points, _, stats = solve(inst, SolverConfig(node_selection="lhg"))
+        assert points == oracle_front(inst)
+        assert stats.nodes_explored >= 9
+        assert len(runs) == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(["KP", "GAP", "UFLP", "CFLP"]), st.integers(2, 3),
+           st.integers(0, 1000), st.sampled_from(["depth", "lhg", "hsz"]),
+           st.booleans(), st.booleans(), st.booleans())
+    def test_twin_solve_matches_fresh_children_and_oracle(
+            self, family, p, seed, strategy, warmstart, ec, slb):
+        size = {"KP": dict(items=9), "GAP": dict(agents=2, jobs=4),
+                "UFLP": dict(facilities=2, customers=3),
+                "CFLP": dict(facilities=2, customers=3)}[family]
+        inst = generate(GeneratorSpec(family=family, p=p, seed=seed, **size))
+        cfg = SolverConfig(node_selection=strategy, warmstart=warmstart,
+                           ec_enabled=ec, slb_enabled=slb, slb_level=2,
+                           refine_max=5)
+        got_points, _, got_stats = Solver(inst, cfg).solve()
+        ref_points, _, ref_stats = _FreshChildSolver(inst, cfg).solve()
+        assert got_points == ref_points == oracle_front(inst)
+        assert got_stats.solved and ref_stats.solved
+
+    @pytest.mark.parametrize("strategy", ("depth", "lhg"))
+    def test_parent_released_once_both_children_are_built(self, monkeypatch,
+                                                          strategy):
+        # a queued child holds its parent's tableau until its first solve,
+        # and nothing holds the parent's subproblem or an older ancestor's
+        records = weakref.WeakKeyDictionary()     # child -> its parent's record
+        parent = {}             # the record of the subproblem being branched
+        branch = RelaxedSubproblem.branch
+        frontier = mobb.solver.lower_bound_frontier
+        released = []
+
+        def recorded_branch(sub, j, v):
+            if v == 0:
+                parent["record"] = {"sub": weakref.ref(sub), "built": 0,
+                                    "tableau": weakref.ref(sub.tableau)}
+            child = branch(sub, j, v)
+            records[child] = parent["record"]
+            return child
+
+        def recorded_frontier(sub):
+            rec = records.get(sub)
+            try:
+                return frontier(sub)
+            finally:
+                if rec is not None:
+                    rec["built"] += 1
+                    if rec["built"] == 2:
+                        released.append(rec["sub"]() is None
+                                        and rec["tableau"]() is None)
+
+        monkeypatch.setattr(RelaxedSubproblem, "branch", recorded_branch)
+        monkeypatch.setattr(mobb.solver, "lower_bound_frontier", recorded_frontier)
+        solve(generate(P2_GENERAL[0]), SolverConfig(node_selection=strategy))
+        assert len(released) >= 10 and all(released)

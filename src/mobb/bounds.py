@@ -36,24 +36,17 @@ class LowerBoundSet:
             return len(self.facet_offsets)
         raise ModelError("empty lower bound set")
 
-    def all_planes(self):
-        """Hyperplanes plus axis facets, as (lam, rhs) pairs."""
-        planes = list(self.hyperplanes)
-        if self.facet_offsets is not None:
-            p = len(self.facet_offsets)
-            for k in range(p):
-                e = np.zeros(p)
-                e[k] = 1.0
-                planes.append((e, float(self.facet_offsets[k])))
-        return planes
-
     @functools.cached_property
     def plane_matrix(self):
-        """All planes stacked: (normals of shape (h, p), rhs of shape (h,)).
-        Built on first use: a bound set does not change once built."""
-        planes = self.all_planes()
-        return (np.asarray([lam for lam, _ in planes], dtype=float),
-                np.asarray([r for _, r in planes], dtype=float))
+        """The hyperplanes plus the axis facets, stacked: (normals of shape
+        (h, p), rhs of shape (h,)). Built on first use: a bound set does not
+        change once built."""
+        normals = [lam for lam, _ in self.hyperplanes]
+        rhs = [r for _, r in self.hyperplanes]
+        if self.facet_offsets is not None:
+            normals.extend(np.eye(len(self.facet_offsets)))
+            rhs.extend(map(float, self.facet_offsets))
+        return np.asarray(normals, dtype=float), np.asarray(rhs, dtype=float)
 
 
 def local_ideal(L: LowerBoundSet) -> np.ndarray:
@@ -65,15 +58,6 @@ def local_ideal(L: LowerBoundSet) -> np.ndarray:
     return np.min(np.asarray(L.extreme_points, dtype=float), axis=0)
 
 
-def is_strictly_above(L: LowerBoundSet, y) -> bool:
-    """True iff y lies in the interior of L + R^p_>= (strict on every plane)."""
-    y = np.asarray(y, dtype=float)
-    for lam, rhs in L.all_planes():
-        if float(lam @ y) <= rhs + FLOAT_TOL:
-            return False
-    return True
-
-
 def surviving_mask(L: LowerBoundSet, U) -> np.ndarray:
     """Boolean mask of the rows of U strictly above L (batched)."""
     U = np.asarray(U, dtype=float)
@@ -83,44 +67,6 @@ def surviving_mask(L: LowerBoundSet, U) -> np.ndarray:
     if len(rhs) == 0:
         return np.ones(len(U), dtype=bool)
     return np.all(U @ normals.T > rhs[None, :] + FLOAT_TOL, axis=1)
-
-
-def spanning_points(L: LowerBoundSet, lu) -> list:
-    """Axis-parallel projections of a local upper bound onto the bound set.
-
-    The i-th spanning point moves from lu along -e_i until the boundary of
-    L + R^p_>= is hit; the remaining coordinates stay pinned at lu. If the ray
-    misses every facet the coordinate is clamped at the local ideal.
-    """
-    lu = np.asarray(lu, dtype=float)
-    p = len(lu)
-    ideal = local_ideal(L)
-    planes = L.all_planes()
-    points = []
-    for i in range(p):
-        t_max = lu[i] - ideal[i]
-        t = t_max
-        for lam, rhs in planes:
-            if lam[i] > 1e-12:
-                t = min(t, (float(lam @ lu) - rhs) / lam[i])
-        t = max(0.0, min(t, t_max))
-        sp = lu.copy()
-        sp[i] -= t
-        points.append(sp)
-    return points
-
-
-def hv_simplex_gap(lu, spanning) -> float:
-    """|det(G)| / p! for the simplex spanned by lu and its spanning points."""
-    lu = np.asarray(lu, dtype=float)
-    G = np.column_stack([np.asarray(sp, dtype=float) - lu for sp in spanning])
-    return abs(float(np.linalg.det(G))) / math.factorial(len(lu))
-
-
-def hv_box_gap(lu, l_ideal) -> float:
-    """Volume of the box between the local ideal point and a local upper bound."""
-    diff = np.maximum(np.asarray(lu, dtype=float) - np.asarray(l_ideal, dtype=float), 0.0)
-    return float(np.prod(diff))
 
 
 MEASURE_LHG = "lhg"

@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,11 +246,12 @@ class RelaxedSubproblem:
     from them, so rows must not change afterwards. Only the first simplex
     solve runs phase 1. Later objectives start phase 2 from the last optimal
     basis, which stays primal feasible because only the objective changes
-    (Chvatal 1983, ch. 10). A copy made by ``with_row`` or ``branch`` needs no
-    phase 1 either: its first solve starts from this subproblem's tableau,
-    applies the copy's ``pending`` steps to it and restores feasibility by
-    dual simplex. Every fixing is substituted, so the tableau's structural
-    columns are always ``cols``, the free variables.
+    (Chvatal 1983, ch. 10). A copy made by ``with_row``, or by ``branch`` for
+    a child that keeps the cut rows, needs no phase 1 either: its first solve
+    starts from this subproblem's tableau, applies the copy's ``pending``
+    steps to it and restores feasibility by dual simplex. Every fixing is
+    substituted, so the tableau's structural columns are always ``cols``, the
+    free variables.
     """
 
     def __init__(self, instance: Instance, fixings=None, cut_rows=None):
@@ -311,19 +313,22 @@ class RelaxedSubproblem:
             functools.partial(_Tableau.with_row, a=a, rhs=float(rhs))]
         return extended
 
-    def branch(self, j: int, v: int) -> "RelaxedSubproblem":
-        """The child with x_j fixed to v.
+    def branch(self, j: int, v: int, cut_rows=None) -> "RelaxedSubproblem":
+        """The child with x_j fixed to v and ``cut_rows`` (by default this
+        subproblem's) as its cut rows.
 
-        When this subproblem has a simplex tableau and is not a knapsack, the
-        child's first solve starts from a copy of that tableau as it then
-        stands: x_j leaves the basis if it is basic (``_Tableau.fixed``),
-        moves to v and its column is deleted, and a dual simplex restores
-        feasibility. Until then the child shares the tableau, not this
-        subproblem. Otherwise the child is built afresh.
+        When this subproblem has a simplex tableau, is not a knapsack and the
+        child keeps exactly its cut rows, the child's first solve starts from
+        a copy of that tableau as it then stands: x_j leaves the basis if it
+        is basic (``_Tableau.fixed``), moves to v and its column is deleted,
+        and a dual simplex restores feasibility. Until then the child shares
+        the tableau, not this subproblem. Otherwise the child is built afresh.
         """
         fixings = {**self.fixings, j: v}
-        if self.tableau is None or self.knapsack:
-            return RelaxedSubproblem(self.instance, fixings, list(self.cut_rows))
+        rows = self.cut_rows if cut_rows is None else cut_rows
+        if (self.tableau is None or self.knapsack or len(rows) != len(self.cut_rows)
+                or not all(map(operator.is_, rows, self.cut_rows))):
+            return RelaxedSubproblem(self.instance, fixings, list(rows))
         c = int(np.searchsorted(self.cols, j))
         pos = int(np.searchsorted(self.fixed_idx, j))
         # Af and bf stay an ancestor's: only phase 1 and the greedy read them

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 
@@ -56,8 +55,9 @@ class SolverConfig:
     trace: bool = False
 
     def __post_init__(self):
-        if self.te_threshold > DEFAULT_ENUM_CAP:
-            raise ModelError("te_threshold exceeds the enumeration cap")
+        if not 0 <= self.te_threshold <= DEFAULT_ENUM_CAP:
+            raise ModelError("te_threshold must be between 0 and the "
+                             f"enumeration cap {DEFAULT_ENUM_CAP}")
         if self.slb_level < 1:
             raise ModelError("slb_level must be >= 1")
         if self.node_selection not in (SELECT_DEPTH, SELECT_BREADTH, SELECT_LHG, SELECT_HSZ):
@@ -76,15 +76,12 @@ class SolverConfig:
 
 @dataclass
 class Node:
-    depth: int
-    fixings: dict
+    # the node's relaxation: its fixings, its cut rows a.x >= rhs and its LP;
+    # its depth is its number of fixings, since a branching adds one
+    sub: RelaxedSubproblem
     gap: float                       # frozen gap inherited from the parent
-    cuts: list                       # [(np.ndarray int coeffs, int rhs)] a.x >= rhs
     parent_facet_offsets: np.ndarray = None
     parent_surviving_lubs: list = None
-    # the relaxation branched from the parent's, sharing its tableau until the
-    # first solve; None builds it afresh
-    sub: RelaxedSubproblem = None
 
 
 @dataclass
@@ -265,12 +262,16 @@ class Solver:
 
     # -- simple lower bound -----------------------------------------------
 
-    def simple_lower_bound(self, node: Node, sub: RelaxedSubproblem):
+    def simple_lower_bound(self, node: Node):
         """Level-set bound from one weighted-sum IP plus the parent's facets.
 
-        Returns (LowerBoundSet or None); None means fathom by infeasibility.
+        Returns (LowerBoundSet or None, cuts): None means fathom by
+        infeasibility, and cuts are the node's cut rows plus the IP's rounded
+        level-set cut, if it has one.
         """
         p = self.instance.p
+        sub = node.sub
+        cuts = sub.cut_rows
         lam = slb_weight(node.parent_surviving_lubs, p)
         # deterministic node budget so seeded runs reproduce exactly; the
         # global deadline still bounds the wall time
@@ -278,7 +279,7 @@ class Solver:
                                            node_limit=_SLB_NODE_LIMIT)
         self.stats.ips += 1
         if res.status == STATUS_INFEASIBLE:
-            return None
+            return None, cuts
         if res.solution is not None:
             self._accept(Solution.from_x(self.instance, res.solution))
         offsets = node.parent_facet_offsets
@@ -289,17 +290,10 @@ class Solver:
             hyperplanes.append((np.asarray(level[0], dtype=float), float(level[1])))
             cut = add_level_cut(self.instance.C, level[0], level[1])
             if cut is not None:
-                node.cuts = node.cuts + [cut]
-                self.stats.cut_log.append((dict(node.fixings), cut[0], cut[1]))
+                cuts = cuts + [cut]
+                self.stats.cut_log.append((dict(sub.fixings), cut[0], cut[1]))
         return LowerBoundSet(hyperplanes=hyperplanes,
-                             facet_offsets=np.asarray(offsets, dtype=float))
-
-    # -- terminal enumeration ---------------------------------------------
-
-    def terminal_enumeration(self, node: Node):
-        sols = enumerate_nondominated(self.instance, node.fixings)
-        for sol in sols:
-            self._accept(sol)
+                             facet_offsets=np.asarray(offsets, dtype=float)), cuts
 
     # -- node processing ---------------------------------------------------
 
@@ -332,27 +326,28 @@ class Solver:
         """
         cfg = self.config
         inst = self.instance
-        free = [j for j in range(inst.n) if j not in node.fixings]
+        sub = node.sub
+        free = sub.free_vars()
 
         if not free:
             # a leaf's one point joins the incumbents, which then dominate it
-            sols = enumerate_nondominated(inst, node.fixings)
+            sols = enumerate_nondominated(inst, sub.fixings)
             if not sols:
                 return "infeasibility", False, False
             self._accept(sols[0])
             return "dominance", False, False
 
         if cfg.te_enabled and len(free) <= cfg.te_threshold:
-            self.terminal_enumeration(node)
+            for sol in enumerate_nondominated(inst, sub.fixings):
+                self._accept(sol)
             return "enumeration", False, False
 
-        sub = node.sub
-        if sub is None:
-            sub = RelaxedSubproblem(inst, dict(node.fixings), list(node.cuts))
-        use_slb = (cfg.slb_enabled and node.depth >= cfg.slb_level
-                   and node.depth % cfg.slb_level == 0)
+        depth = len(sub.fixings)
+        use_slb = (cfg.slb_enabled and depth >= cfg.slb_level
+                   and depth % cfg.slb_level == 0)
+        cuts = sub.cut_rows
         if use_slb:
-            L = self.simple_lower_bound(node, sub)
+            L, cuts = self.simple_lower_bound(node)
             if L is None:
                 return "infeasibility", True, False
         else:
@@ -378,21 +373,15 @@ class Solver:
 
         gap = (float(gap_values(L, surviving, cfg.measure).max())
                if cfg.dynamic else 0.0)
-        node.cuts = prune_redundant_cuts(node.cuts, L)
+        cuts = prune_redundant_cuts(cuts, L)
         j = choose_branch_variable(inst, L, free, cfg)
         offsets = local_ideal(L)
-        # the children start from this node's tableau as the bound left it,
-        # unless they are knapsacks or SLB or pruning changed their cut rows
-        warm = (sub.tableau is not None and not sub.knapsack
-                and len(node.cuts) == len(sub.cut_rows)
-                and all(map(operator.is_, node.cuts, sub.cut_rows)))
+        # a child starts from this node's tableau as the bound left it when
+        # it keeps the node's cut rows (see RelaxedSubproblem.branch)
         for v in (0, 1):
-            fixings = dict(node.fixings)
-            fixings[j] = v
-            queue.push(Node(depth=node.depth + 1, fixings=fixings, gap=gap,
-                            cuts=list(node.cuts), parent_facet_offsets=offsets,
-                            parent_surviving_lubs=surviving.copy(),
-                            sub=sub.branch(j, v) if warm else None))
+            queue.push(Node(sub=sub.branch(j, v, cuts), gap=gap,
+                            parent_facet_offsets=offsets,
+                            parent_surviving_lubs=surviving.copy()))
         return "branched", use_slb, ec
 
     # -- main loop ---------------------------------------------------------
@@ -407,8 +396,9 @@ class Solver:
             feasible = self.warmstart()
         if feasible:
             queue = _Queue(cfg.node_selection)
-            queue.push(Node(depth=0, fixings={}, gap=math.inf,
-                            cuts=list(self.root_cuts)))
+            # no local name holds the root: its tableau goes with its children's
+            queue.push(Node(RelaxedSubproblem(self.instance, {}, list(self.root_cuts)),
+                            gap=math.inf))
             iteration = 0
             stats.solved = True
             while len(queue):
@@ -425,10 +415,11 @@ class Solver:
                     stats.fathomed[outcome] += 1
                 if cfg.trace:
                     # a node's fixings are never changed once it is built
+                    fixings = node.sub.fixings
                     stats.trace.append({
-                        "iteration": iteration, "depth": node.depth,
-                        "free": self.instance.n - len(node.fixings),
-                        "fixings": node.fixings, "outcome": outcome,
+                        "iteration": iteration, "depth": len(fixings),
+                        "free": self.instance.n - len(fixings),
+                        "fixings": fixings, "outcome": outcome,
                         "slb": slb, "ec": ec})
         else:
             stats.solved = True

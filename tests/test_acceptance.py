@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from mobb.bounds import (LocalUpperBoundSet, LowerBoundSet, gap_values,
-                         hv_box_gap, hv_simplex_gap, local_ideal,
-                         spanning_points)
+                         local_ideal)
 from mobb.cli import (APPROACHES, BENCH_HEADER, PROFILE_HEADER,
                       approach_config, main)
 from mobb.instances import GeneratorSpec, generate, write_instance
@@ -24,6 +23,7 @@ from mobb.lp import InfeasibleSubproblem, RelaxedSubproblem, \
     lower_bound_frontier, solve_lp
 from mobb.model import Instance, enumerate_nondominated, weakly_dominates
 from mobb.solver import SolverConfig, solve
+from test_bounds import hv_box_gap, hv_simplex_gap, spanning_points
 
 ALL_LABELS = ["BB", "NS(LHG)", "NS(HSZ)", "WST", "EC", "SLB", "SLB+TE"]
 

@@ -1,6 +1,7 @@
 """Tests for incumbents, local upper bounds, lower bound sets and gap measures."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,10 +10,71 @@ from hypothesis import strategies as st
 
 from mobb.bounds import (IncumbentList, LocalUpperBoundSet, LowerBoundSet,
                          MEASURE_HSZ, MEASURE_LHG, _maximal, default_big_m,
-                         gap_argmax_lub, gap_values, hv_box_gap,
-                         hv_simplex_gap, is_strictly_above, local_ideal,
-                         spanning_points, surviving_mask)
-from mobb.model import Solution
+                         gap_argmax_lub, gap_values, local_ideal,
+                         surviving_mask)
+from mobb.model import FLOAT_TOL, Solution
+
+# Scalar oracles for the batched surviving_mask and gap_values: one local
+# upper bound and one plane at a time, as the gap measures are defined.
+
+
+def all_planes(L: LowerBoundSet) -> list:
+    """The hyperplanes plus the axis facets, as (lam, rhs) pairs."""
+    planes = list(L.hyperplanes)
+    if L.facet_offsets is not None:
+        p = len(L.facet_offsets)
+        for k in range(p):
+            e = np.zeros(p)
+            e[k] = 1.0
+            planes.append((e, float(L.facet_offsets[k])))
+    return planes
+
+
+def is_strictly_above(L: LowerBoundSet, y) -> bool:
+    """True iff y lies in the interior of L + R^p_>= (strict on every plane)."""
+    y = np.asarray(y, dtype=float)
+    for lam, rhs in all_planes(L):
+        if float(lam @ y) <= rhs + FLOAT_TOL:
+            return False
+    return True
+
+
+def spanning_points(L: LowerBoundSet, lu) -> list:
+    """Axis-parallel projections of a local upper bound onto the bound set.
+
+    The i-th spanning point moves from lu along -e_i until the boundary of
+    L + R^p_>= is hit; the remaining coordinates stay pinned at lu. If the ray
+    misses every facet the coordinate is clamped at the local ideal.
+    """
+    lu = np.asarray(lu, dtype=float)
+    p = len(lu)
+    ideal = local_ideal(L)
+    planes = all_planes(L)
+    points = []
+    for i in range(p):
+        t_max = lu[i] - ideal[i]
+        t = t_max
+        for lam, rhs in planes:
+            if lam[i] > 1e-12:
+                t = min(t, (float(lam @ lu) - rhs) / lam[i])
+        t = max(0.0, min(t, t_max))
+        sp = lu.copy()
+        sp[i] -= t
+        points.append(sp)
+    return points
+
+
+def hv_simplex_gap(lu, spanning) -> float:
+    """|det(G)| / p! for the simplex spanned by lu and its spanning points."""
+    lu = np.asarray(lu, dtype=float)
+    G = np.column_stack([np.asarray(sp, dtype=float) - lu for sp in spanning])
+    return abs(float(np.linalg.det(G))) / math.factorial(len(lu))
+
+
+def hv_box_gap(lu, l_ideal) -> float:
+    """Volume of the box between the local ideal point and a local upper bound."""
+    diff = np.maximum(np.asarray(lu, dtype=float) - np.asarray(l_ideal, dtype=float), 0.0)
+    return float(np.prod(diff))
 
 
 def brute_force_lubs(images, p: int, M: int):

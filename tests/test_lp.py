@@ -486,6 +486,51 @@ class TestWarmChildren:
                         checked += 1
         assert checked >= 1
 
+    @pytest.mark.parametrize("family", range(len(CHAIN_SPECS)))
+    def test_other_cut_rows_build_the_child_afresh(self, monkeypatch, family):
+        # a cut added (as SLB adds one), the cuts dropped (as pruning drops
+        # them) or an equal row that is not the parent's own: the child's
+        # first solve runs phase 1 and equals a fresh subproblem's, while a
+        # child keeping the parent's rows starts from its tableau
+        runs = []
+        phase1 = _Tableau.phase1.__func__
+
+        def counted(cls, A, b):
+            runs.append(1)
+            return phase1(cls, A, b)
+
+        monkeypatch.setattr(_Tableau, "phase1", classmethod(counted))
+        inst = generate(CHAIN_SPECS[family])
+        rng = np.random.default_rng(family)
+        rows = _level_cut(inst, rng)
+        (a, r), = rows
+        c = rng.random(inst.p) @ inst.C
+        sub = RelaxedSubproblem(inst, {}, rows)
+        assert solve_lp(sub, c).status == OPTIMAL and sub.tableau is not None
+        j = int(rng.integers(inst.n))
+        for other in (rows + _level_cut(inst, rng), [], [(a.copy(), r)]):
+            for v in (0, 1):
+                child = sub.branch(j, v, other)
+                assert child.tableau is None
+                assert all(x is y for x, y in zip(child.cut_rows, other))
+                runs.clear()
+                got = solve_lp(child, c)
+                # a knapsack left without the cut takes the greedy
+                assert len(runs) == int(not child.knapsack)
+                _same_result(got, solve_lp(
+                    RelaxedSubproblem(inst, {j: v}, list(other)), c))
+        for kept in (None, rows, list(rows)):
+            for v in (0, 1):
+                child = sub.branch(j, v, kept)
+                assert child.tableau is sub.tableau
+                runs.clear()
+                got = solve_lp(child, c)
+                assert not runs
+                ref = solve_lp(RelaxedSubproblem(inst, {j: v}, list(rows)), c)
+                assert got.status == ref.status
+                if got.status == OPTIMAL:
+                    assert abs(got.value - ref.value) <= 1e-7
+
     def test_heavy_item_fixed_in_is_infeasible(self):
         # a knapsack with a loose level cut goes through the simplex; item 2
         # alone outweighs the capacity
@@ -845,7 +890,7 @@ class TestFrontier2d:
         from mobb.model import enumerate_nondominated
         for s in enumerate_nondominated(inst):
             y = np.asarray(s.image, dtype=float)
-            for lam, rhs in L.all_planes():
+            for lam, rhs in zip(*L.plane_matrix):
                 assert float(lam @ y) >= rhs - 1e-7
 
 
@@ -876,7 +921,7 @@ class TestFrontierOuter:
         from mobb.model import enumerate_nondominated
         for s in enumerate_nondominated(inst):
             y = np.asarray(s.image, dtype=float)
-            for lam, rhs in L.all_planes():
+            for lam, rhs in zip(*L.plane_matrix):
                 assert float(lam @ y) >= rhs - 1e-7
 
 

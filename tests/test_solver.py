@@ -96,13 +96,17 @@ class TestQueue:
 
     @staticmethod
     def drain(strategy, gaps):
-        # depth labels the i-th pushed node; the queue never reads it
+        # the order of the pushed nodes, by push index; the queue never reads
+        # a node's subproblem
         queue = _Queue(strategy)
+        index = {}
         for i, gap in enumerate(gaps):
-            queue.push(Node(depth=i, fixings={}, gap=gap, cuts=[]))
+            node = Node(sub=None, gap=gap)
+            index[id(node)] = i
+            queue.push(node)
         order = []
         while len(queue):
-            order.append(queue.pop().depth)
+            order.append(index[id(queue.pop())])
         return order
 
     def test_depth_pops_newest_first(self):
@@ -125,13 +129,13 @@ class TestQueue:
 
     def test_pops_interleave_with_pushes(self):
         queue = _Queue("depth")
-        # distinct depths keep the nodes unequal under the dataclass ==
-        nodes = [Node(depth=i, fixings={}, gap=0.0, cuts=[]) for i in range(3)]
+        nodes = [Node(sub=None, gap=0.0) for _ in range(3)]
         queue.push(nodes[0])
         queue.push(nodes[1])
         assert queue.pop() is nodes[1]
         queue.push(nodes[2])
-        assert [queue.pop(), queue.pop()] == [nodes[2], nodes[0]]
+        assert queue.pop() is nodes[2]
+        assert queue.pop() is nodes[0]
         assert len(queue) == 0
 
 
@@ -360,6 +364,9 @@ class TestConfigValidation:
     def test_te_threshold_above_cap_rejected(self):
         with pytest.raises(ModelError):
             SolverConfig(te_threshold=30)
+        # a negative threshold would silently never enumerate
+        with pytest.raises(ModelError):
+            SolverConfig(te_threshold=-1)
 
     def test_bad_strategy_rejected(self):
         with pytest.raises(ModelError):
@@ -471,11 +478,13 @@ class TestIncumbentPrefilter:
 
 
 class _FreshChildSolver(Solver):
-    """The reference: every node builds its relaxation afresh, with phase 1,
-    instead of branching from its parent's tableau."""
+    """The reference: every node rebuilds its relaxation afresh from its own
+    fixings and cut rows, with phase 1, instead of starting from its parent's
+    tableau."""
 
     def process_node(self, node, iteration, queue):
-        node.sub = None
+        node.sub = RelaxedSubproblem(self.instance, dict(node.sub.fixings),
+                                     list(node.sub.cut_rows))
         return super().process_node(node, iteration, queue)
 
 
@@ -535,11 +544,11 @@ class TestWarmChildren:
         frontier = mobb.solver.lower_bound_frontier
         released = []
 
-        def recorded_branch(sub, j, v):
+        def recorded_branch(sub, j, v, cut_rows=None):
             if v == 0:
                 parent["record"] = {"sub": weakref.ref(sub), "built": 0,
                                     "tableau": weakref.ref(sub.tableau)}
-            child = branch(sub, j, v)
+            child = branch(sub, j, v, cut_rows)
             records[child] = parent["record"]
             return child
 

@@ -23,6 +23,7 @@ _FEAS_TOL = 1e-7
 _BLAND_AFTER = 1000   # degenerate pivots before switching to Bland's rule
 _LEX_CAP = 1e-7       # slack on the stage-1 value when a lexmin caps it
 _FACET_TOL = 1e-7     # a refinement plane must cut a vertex off by more than this
+_KEEP_TOL = 1e-9      # a parent's point is kept when its x_j is this close to v
 
 
 class InfeasibleSubproblem(Exception):
@@ -313,6 +314,13 @@ class RelaxedSubproblem:
             functools.partial(_Tableau.with_row, a=a, rhs=float(rhs))]
         return extended
 
+    def keeps_rows(self, rows) -> bool:
+        """Whether ``rows`` are exactly this subproblem's cut rows, the same
+        objects in the same order: then a child with them has a relaxation
+        inside this one's."""
+        return (len(rows) == len(self.cut_rows)
+                and all(map(operator.is_, rows, self.cut_rows)))
+
     def branch(self, j: int, v: int, cut_rows=None) -> "RelaxedSubproblem":
         """The child with x_j fixed to v and ``cut_rows`` (by default this
         subproblem's) as its cut rows.
@@ -326,8 +334,7 @@ class RelaxedSubproblem:
         """
         fixings = {**self.fixings, j: v}
         rows = self.cut_rows if cut_rows is None else cut_rows
-        if (self.tableau is None or self.knapsack or len(rows) != len(self.cut_rows)
-                or not all(map(operator.is_, rows, self.cut_rows))):
+        if self.tableau is None or self.knapsack or not self.keeps_rows(rows):
             return RelaxedSubproblem(self.instance, fixings, list(rows))
         c = int(np.searchsorted(self.cols, j))
         pos = int(np.searchsorted(self.fixed_idx, j))
@@ -342,6 +349,26 @@ class RelaxedSubproblem:
             functools.partial(_Tableau.fixed, c=c, v=float(v))]
         return child
 
+    def apply_pending(self):
+        """Apply the pending steps to a copy of the tableau and restore
+        feasibility by dual simplex, as the next simplex solve does first.
+        Afterwards this subproblem no longer holds the tableau it was
+        branched from."""
+        if not self.pending:
+            return
+        tab = self.tableau
+        for step in self.pending:
+            tab = step(tab)
+            if tab is None:
+                break
+        else:
+            if _dual_optimize(tab.T, tab.basis, tab.T.shape[1] - 1) == INFEASIBLE:
+                tab = None
+        self.pending = []
+        self.tableau = tab
+        if tab is None:
+            self.infeasible = True
+
     def simplex(self, cf):
         """(value, y) of min cf.y over the columns, reoptimized from the last
         tableau, or None if infeasible."""
@@ -352,19 +379,11 @@ class RelaxedSubproblem:
             A = np.vstack([self.Af, np.eye(k)])
             b = np.concatenate([self.bf, np.ones(k)])
             self.tableau = _Tableau.phase1(A, b)
-        elif self.pending:
-            tab = self.tableau
-            for step in self.pending:
-                tab = step(tab)
-                if tab is None:
-                    break
-            else:
-                if _dual_optimize(tab.T, tab.basis, tab.T.shape[1] - 1) == INFEASIBLE:
-                    tab = None
-            self.pending = []
-            self.tableau = tab
+            if self.tableau is None:
+                self.infeasible = True
+        else:
+            self.apply_pending()
         if self.tableau is None:
-            self.infeasible = True
             return None
         if self.tableau.optimize(cf) == UNBOUNDED:
             raise ModelError("unbounded LP over a boxed binary relaxation")
@@ -521,44 +540,148 @@ def augmented_unit_weights(p: int, delta: float = 1e-3):
     return weights
 
 
-def _frontier_2d(sub: RelaxedSubproblem) -> LowerBoundSet:
-    """All extreme supported points of a biobjective relaxation, dichotomically."""
+@dataclass(frozen=True, slots=True)
+class KeptPoints:
+    """The extreme solutions of a p = 2 parent's bound set that a child's
+    fixing x_j = v keeps (|x_j - v| <= _KEEP_TOL), in the parent's sorted
+    order, with their positions there, the parent's number of extreme points
+    and its facet offsets: what ``_frontier_2d`` seeds the child's bound with.
+    A queued child holds them, so they are small: their images are not kept,
+    since C x gives them again bit for bit, and each solution is a copy of
+    its bytes, which sits with the other small objects and not among the
+    tableaus in the heap (``np.frombuffer`` reads it back)."""
+
+    index: list
+    solutions: list     # bytes of float64 n-vectors
+    count: int
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, L: LowerBoundSet, j: int, v: int):
+        """The solutions of L with x_j = v, or None if none has."""
+        # a list, not tuple() of a generator: such a tuple is resized into
+        # place instead of taken from the tuple free list, but freeing it adds
+        # to that list, so a long run fills the free lists to their caps
+        # (2000 tuples of each size, resident for good)
+        index = [i for i, x in enumerate(L.extreme_solutions)
+                 if abs(x[j] - v) <= _KEEP_TOL]
+        if not index:
+            return None
+        return cls(index, [L.extreme_solutions[i].tobytes() for i in index],
+                   len(L.extreme_points), L.facet_offsets)
+
+
+def _facet_normal(ya, yb):
+    """The normalized weight whose level lines run through ya and yb, or None
+    unless both of its entries exceed 1e-9."""
+    lam = np.array([ya[1] - yb[1], yb[0] - ya[0]])
+    if lam[0] <= 1e-9 or lam[1] <= 1e-9:
+        return None
+    return _normalize(lam)
+
+
+def _close(ya, yb) -> bool:
+    return np.allclose(ya, yb, rtol=0.0, atol=1e-7)
+
+
+def _place_lexmin(known, y, x, first: bool):
+    """Put a lexicographic minimum (y, x) first or last in ``known``, the
+    sorted [parent index or None, point, solution] of ``_frontier_2d``.
+
+    A fresh run has no point beyond its minima. But the cap's slack on the
+    first objective minimized can leave the minimum a little inside a kept
+    vertex, which then stands for it: its solution is exact where the
+    minimum's has moved within the slack, so the child's own children can
+    keep it. The innermost of the kept points beyond the minimum or within
+    1e-7 of it stays in its place, and the others go.
+    """
+    end = 0 if first else -1
+
+    def beyond(k):
+        a, b = (k[1], y) if first else (y, k[1])
+        return (a[0], a[1]) < (b[0], b[1])
+
+    taken = None
+    while known and known[end][0] is not None and (
+            beyond(known[end]) or _close(known[end][1], y)):
+        taken = known.pop(end)
+    if taken is not None:
+        known.insert(0 if first else len(known), taken)
+    elif not (known and _close(known[end][1], y)):
+        known.insert(0 if first else len(known), [None, y, x])
+
+
+def _frontier_2d(sub: RelaxedSubproblem, kept: KeptPoints = None) -> LowerBoundSet:
+    """All extreme supported points of a biobjective relaxation, dichotomically.
+
+    The search starts from the known points: the two lexicographic minima
+    and the ``kept`` points of the parent's bound, if any. A child's
+    relaxation is its parent's with x_j = v, so a kept point is an extreme
+    supported point of the child as well, and every plane of the parent is
+    valid in the child. A kept first or last point is the child's
+    lexicographic minimum, and the parent's facet offset stands for it, so
+    its ``_lexmin`` is skipped. Two kept points that were adjacent in the
+    parent bound a facet, whose plane needs no LP. The weighted sums are
+    solved only between the other consecutive known points. Without ``kept``
+    every point and plane is found afresh.
+    """
     inst = sub.instance
-    left = _lexmin(sub, 0, 1)
-    if left is None:
-        raise InfeasibleSubproblem(inst.name)
-    right = _lexmin(sub, 1, 0)
-    v1, yL, xL = left
-    v2, yR, xR = right
-    hyperplanes = [(np.array([1.0, 0.0]), v1), (np.array([0.0, 1.0]), v2)]
-    points = [yL]
-    sols = [xL]
-    if not np.allclose(yL, yR, rtol=0.0, atol=1e-7):
-        points.append(yR)
-        sols.append(xR)
-        stack = [(yL, yR)]
-        seen = {tuple(np.round(yL, 7)), tuple(np.round(yR, 7))}
-        while stack:
-            ya, yb = stack.pop()
-            lam = np.array([ya[1] - yb[1], yb[0] - ya[0]])
-            if lam[0] <= 1e-9 or lam[1] <= 1e-9:
+    known, facets = [], []
+    if kept is not None:
+        # as the child's first LP would, even when it solves none: then it
+        # drops its parent's tableau, and its own children start warm
+        sub.apply_pending()
+        if sub.infeasible:
+            raise InfeasibleSubproblem(inst.name)
+        known = [[i, inst.C @ x, x] for i, x in
+                 zip(kept.index, map(np.frombuffer, kept.solutions))]
+        for (i, ya, _), (k, yb, _) in zip(known, known[1:]):
+            lam = _facet_normal(ya, yb) if k == i + 1 else None
+            if lam is not None:
+                facets.append((lam, min(float(lam @ ya), float(lam @ yb))))
+    if known and known[0][0] == 0:
+        v1 = float(kept.offsets[0])
+    else:
+        left = _lexmin(sub, 0, 1)
+        if left is None:
+            raise InfeasibleSubproblem(inst.name)
+        v1 = left[0]
+        _place_lexmin(known, *left[1:], first=True)
+    if kept is not None and known[-1][0] == kept.count - 1:
+        v2 = float(kept.offsets[1])
+    else:
+        right = _lexmin(sub, 1, 0)
+        if right is None:
+            raise InfeasibleSubproblem(inst.name)
+        v2 = right[0]
+        _place_lexmin(known, *right[1:], first=False)
+    hyperplanes = [(np.array([1.0, 0.0]), v1), (np.array([0.0, 1.0]), v2)] + facets
+    points = [y for _, y, _ in known]
+    sols = [x for _, _, x in known]
+    seen = {tuple(np.round(y, 7)) for y in points}
+    # the gaps not on a kept facet, the leftmost searched first
+    stack = [(ka[1], kb[1]) for ka, kb in zip(known[::-1][1:], known[::-1])
+             if ka[0] is None or kb[0] != ka[0] + 1]
+    while stack:
+        ya, yb = stack.pop()
+        lam = _facet_normal(ya, yb)
+        if lam is None:
+            continue
+        res = solve_lp(sub, lam @ inst.C)
+        hyperplanes.append((lam, res.value))
+        if res.value < float(lam @ ya) - FLOAT_TOL:
+            yc = inst.C @ res.x
+            key = tuple(np.round(yc, 7))
+            if key in seen:
+                # a point found before: at objective values of 2**52 and
+                # more, float64 rounding fakes the improvement, and
+                # splitting again would never end
                 continue
-            lam = _normalize(lam)
-            res = solve_lp(sub, lam @ inst.C)
-            hyperplanes.append((lam, res.value))
-            if res.value < float(lam @ ya) - FLOAT_TOL:
-                yc = inst.C @ res.x
-                key = tuple(np.round(yc, 7))
-                if key in seen:
-                    # a point found before: at objective values of 2**52 and
-                    # more, float64 rounding fakes the improvement, and
-                    # splitting again would never end
-                    continue
-                seen.add(key)
-                points.append(yc)
-                sols.append(res.x)
-                stack.append((ya, yc))
-                stack.append((yc, yb))
+            seen.add(key)
+            points.append(yc)
+            sols.append(res.x)
+            stack.append((ya, yc))
+            stack.append((yc, yb))
     order = np.lexsort((np.asarray(points)[:, 1], np.asarray(points)[:, 0]))
     points = [points[i] for i in order]
     sols = [sols[i] for i in order]
@@ -784,13 +907,15 @@ def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
                          facet_offsets=L.facet_offsets)
 
 
-def lower_bound_frontier(sub: RelaxedSubproblem) -> LowerBoundSet:
+def lower_bound_frontier(sub: RelaxedSubproblem,
+                         kept: KeptPoints = None) -> LowerBoundSet:
     """Full lower bound set of a subproblem's linear relaxation: exact for
     p == 2, an unrefined outer approximation for p >= 3 (see
-    ``refine_frontier``).
+    ``refine_frontier``). ``kept``, for p == 2 only, are the parent's extreme
+    points that this child's fixing keeps; ``_frontier_2d`` starts from them.
 
     Raises InfeasibleSubproblem when the relaxation is empty.
     """
     if sub.instance.p == 2:
-        return _frontier_2d(sub)
+        return _frontier_2d(sub, kept)
     return _frontier_outer(sub)

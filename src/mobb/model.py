@@ -136,7 +136,9 @@ class Solution:
     @classmethod
     def from_x(cls, instance: Instance, x) -> "Solution":
         y = evaluate(instance, x)
-        return cls(x=tuple(int(v) for v in x), image=tuple(int(v) for v in y))
+        # tuples of lists: tuple() of a generator resizes its result into
+        # place, and freeing such small tuples fills the tuple free lists
+        return cls(x=tuple([int(v) for v in x]), image=tuple([int(v) for v in y]))
 
 
 class Dominance(enum.Enum):

@@ -21,8 +21,8 @@ from .bounds import (IncumbentList, LocalUpperBoundSet, LowerBoundSet,
                      gap_values, local_ideal, surviving_mask)
 from .ipsolve import (STATUS_INFEASIBLE, STATUS_NO_SOLUTION_TIMEOUT,
                       STATUS_OPTIMAL, solve_econstraint, solve_weighted_sum_ip)
-from .lp import (InfeasibleSubproblem, RelaxedSubproblem, augmented_unit_weights,
-                 lower_bound_frontier, refine_frontier)
+from .lp import (InfeasibleSubproblem, KeptPoints, RelaxedSubproblem,
+                 augmented_unit_weights, lower_bound_frontier, refine_frontier)
 from .model import (DEFAULT_ENUM_CAP, Instance, ModelError, Solution,
                     enumerate_nondominated, is_feasible)
 
@@ -55,8 +55,10 @@ class SolverConfig:
     trace: bool = False
 
     def __post_init__(self):
-        if not 0 <= self.te_threshold <= DEFAULT_ENUM_CAP:
-            raise ModelError("te_threshold must be between 0 and the "
+        # a node with no free variable is a leaf before TE is tested, so a
+        # threshold below 1 would never enumerate
+        if not 1 <= self.te_threshold <= DEFAULT_ENUM_CAP:
+            raise ModelError("te_threshold must be between 1 and the "
                              f"enumeration cap {DEFAULT_ENUM_CAP}")
         if self.slb_level < 1:
             raise ModelError("slb_level must be >= 1")
@@ -74,14 +76,16 @@ class SolverConfig:
         return self.node_selection in (SELECT_LHG, SELECT_HSZ)
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     # the node's relaxation: its fixings, its cut rows a.x >= rhs and its LP;
     # its depth is its number of fixings, since a branching adds one
     sub: RelaxedSubproblem
     gap: float                       # frozen gap inherited from the parent
     parent_facet_offsets: np.ndarray = None
-    parent_surviving_lubs: list = None
+    parent_surviving_lubs: list = None   # held for SLB's weight only
+    # p = 2: the parent's extreme points this node's fixing keeps
+    kept: KeptPoints = None
 
 
 @dataclass
@@ -352,7 +356,7 @@ class Solver:
                 return "infeasibility", True, False
         else:
             try:
-                L = lower_bound_frontier(sub)
+                L = lower_bound_frontier(sub, node.kept)
             except InfeasibleSubproblem:
                 return "infeasibility", False, False
 
@@ -376,12 +380,17 @@ class Solver:
         cuts = prune_redundant_cuts(cuts, L)
         j = choose_branch_variable(inst, L, free, cfg)
         offsets = local_ideal(L)
-        # a child starts from this node's tableau as the bound left it when
-        # it keeps the node's cut rows (see RelaxedSubproblem.branch)
+        # a child that keeps the node's cut rows has a relaxation inside the
+        # node's: it starts from the node's tableau as the bound left it (see
+        # RelaxedSubproblem.branch) and, at p = 2, from the node's extreme
+        # points that its fixing keeps
+        inherit = inst.p == 2 and not use_slb and sub.keeps_rows(cuts)
         for v in (0, 1):
             queue.push(Node(sub=sub.branch(j, v, cuts), gap=gap,
                             parent_facet_offsets=offsets,
-                            parent_surviving_lubs=surviving.copy()))
+                            parent_surviving_lubs=(surviving.copy()
+                                                   if cfg.slb_enabled else None),
+                            kept=KeptPoints.of(L, j, v) if inherit else None))
         return "branched", use_slb, ec
 
     # -- main loop ---------------------------------------------------------

@@ -12,13 +12,13 @@ import mobb.lp
 from mobb.bounds import LowerBoundSet
 from mobb.instances import GeneratorSpec, generate
 from mobb.lp import (_FACET_TOL, _FEAS_TOL, _LEX_CAP, _PIVOT_TOL, INFEASIBLE,
-                     OPTIMAL, UNBOUNDED, InfeasibleSubproblem,
+                     OPTIMAL, UNBOUNDED, InfeasibleSubproblem, KeptPoints,
                      RelaxedSubproblem, _dedupe_points,
                      _distinct, _feasible_subsets, _greedy_knapsack_lp,
                      _greedy_knapsack_rows, _lexmin, _normalize, _OuterRegion,
                      _p_subsets, _solve_lps, _Tableau, lower_bound_frontier,
                      refine_frontier, solve_lp)
-from mobb.model import Instance
+from mobb.model import Instance, enumerate_nondominated
 
 
 def _simplex(c, A, b):
@@ -892,6 +892,94 @@ class TestFrontier2d:
             y = np.asarray(s.image, dtype=float)
             for lam, rhs in zip(*L.plane_matrix):
                 assert float(lam @ y) >= rhs - 1e-7
+
+
+def _planes_hold_at_oracle(L, sub):
+    """Every plane and facet of L holds, within 1e-7, at each nondominated
+    point of ``sub``'s fixings whose solution satisfies its cut rows."""
+    normals, rhs = L.plane_matrix
+    checked = 0
+    for s in enumerate_nondominated(sub.instance, sub.fixings):
+        x = np.asarray(s.x, dtype=float)
+        if all(float(np.asarray(a) @ x) >= r - 1e-9 for a, r in sub.cut_rows):
+            assert np.all(normals @ np.asarray(s.image, dtype=float) >= rhs - 1e-7)
+            checked += 1
+    return checked
+
+
+def _same_frontier(got, ref):
+    """got's extreme points are ref's within 1e-7, in the same order, and so
+    are its facet offsets. An end point may instead be a vertex inside the
+    strip the lexmin cap allows: z_k within _LEX_CAP of its minimum and z_j
+    no lower than ref's, since a fresh stage 2 can trade the slack in z_k
+    for a lower z_j and leave its point up to some 1e-7 off the vertex."""
+    G, R = np.asarray(got.extreme_points), np.asarray(ref.extreme_points)
+    assert G.shape == R.shape
+    assert np.allclose(got.facet_offsets, ref.facet_offsets, rtol=0.0, atol=1e-7)
+    near = np.all(np.abs(G - R) <= 1e-7, axis=1)
+    assert near[1:-1].all()
+    for e, k in ((0, 0), (-1, 1)):
+        j = 1 - k
+        assert near[e] or (G[e, k] <= ref.facet_offsets[k] + _LEX_CAP + 1e-9
+                           and G[e, j] >= R[e, j] - 1e-7)
+
+
+class TestInheritedFrontier:
+    """A p = 2 child's bound seeded with the parent's extreme points that its
+    fixing keeps (``KeptPoints``) is the bound a fresh ``_frontier_2d``
+    finds, with fewer LPs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, len(CHAIN_SPECS) - 1), st.integers(0, 10_000))
+    def test_chain_matches_fresh(self, family, seed):
+        inst = generate(CHAIN_SPECS[family])
+        rng = np.random.default_rng(seed)
+        cuts = _level_cut(inst, rng) if inst.m == 1 else []
+        sub = RelaxedSubproblem(inst, {}, cuts)
+        L = lower_bound_frontier(sub)
+        while sub.free_vars():
+            j = int(rng.choice(sub.free_vars()))
+            v = int(rng.integers(2))
+            # the child starts from its parent's bound, itself inherited
+            child = sub.branch(j, v)
+            kept = KeptPoints.of(L, j, v)
+            fresh = RelaxedSubproblem(inst, dict(child.fixings), list(cuts))
+            try:
+                ref = lower_bound_frontier(fresh)
+            except InfeasibleSubproblem:
+                # a kept point would be feasible in the child
+                assert kept is None
+                with pytest.raises(InfeasibleSubproblem):
+                    lower_bound_frontier(child, kept)
+                return
+            got = lower_bound_frontier(child, kept)
+            _same_frontier(got, ref)
+            _planes_hold_at_oracle(got, child)
+            sub, L = child, got
+
+    def test_fully_kept_bound_solves_no_lp(self, monkeypatch):
+        # x_0 = 0 in every extreme solution of the GAP root: the child keeps
+        # the whole bound, yet still applies its fixing to the parent's
+        # tableau, as its first LP would
+        inst = generate(CHAIN_SPECS[0])
+        sub = RelaxedSubproblem(inst)
+        L = lower_bound_frontier(sub)
+        kept = KeptPoints.of(L, 0, 0)
+        assert kept.index == list(range(kept.count)) and kept.count >= 3
+        child = sub.branch(0, 0)
+        calls = []
+        monkeypatch.setattr(mobb.lp, "solve_lp",
+                            lambda *args: calls.append(1) or solve_lp(*args))
+        got = lower_bound_frontier(child, kept)
+        assert not calls
+        assert not child.pending and child.tableau is not sub.tableau
+        assert np.array_equal(got.extreme_points, L.extreme_points)
+        assert np.array_equal(got.facet_offsets, L.facet_offsets)
+        assert len(got.hyperplanes) == 2 + kept.count - 1
+        monkeypatch.undo()
+        ref = lower_bound_frontier(RelaxedSubproblem(inst, {0: 0}))
+        assert np.allclose(got.extreme_points, ref.extreme_points, rtol=0.0, atol=1e-7)
+        assert _planes_hold_at_oracle(got, child) >= 1
 
 
 class TestFrontierOuter:

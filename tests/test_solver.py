@@ -364,9 +364,11 @@ class TestConfigValidation:
     def test_te_threshold_above_cap_rejected(self):
         with pytest.raises(ModelError):
             SolverConfig(te_threshold=30)
-        # a negative threshold would silently never enumerate
-        with pytest.raises(ModelError):
-            SolverConfig(te_threshold=-1)
+        # a threshold below 1 would silently never enumerate: a node with
+        # no free variable is a leaf before TE is tested
+        for threshold in (0, -1):
+            with pytest.raises(ModelError):
+                SolverConfig(te_threshold=threshold)
 
     def test_bad_strategy_rejected(self):
         with pytest.raises(ModelError):
@@ -480,12 +482,36 @@ class TestIncumbentPrefilter:
 class _FreshChildSolver(Solver):
     """The reference: every node rebuilds its relaxation afresh from its own
     fixings and cut rows, with phase 1, instead of starting from its parent's
-    tableau."""
+    tableau, and finds its bound afresh instead of from the parent's points
+    that its fixing keeps."""
 
     def process_node(self, node, iteration, queue):
         node.sub = RelaxedSubproblem(self.instance, dict(node.sub.fixings),
                                      list(node.sub.cut_rows))
+        node.kept = None
         return super().process_node(node, iteration, queue)
+
+
+class _ChildRecordingSolver(Solver):
+    """Records (parent subproblem, whether SLB built its bound, child node)
+    for every child pushed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.children = []
+
+    def process_node(self, node, iteration, queue):
+        pushed = []
+        push = queue.push
+        queue.push = pushed.append
+        try:
+            outcome, slb, ec = super().process_node(node, iteration, queue)
+        finally:
+            del queue.push
+        for child in pushed:
+            self.children.append((node.sub, slb, child))
+            push(child)
+        return outcome, slb, ec
 
 
 P2_GENERAL = [
@@ -552,10 +578,10 @@ class TestWarmChildren:
             records[child] = parent["record"]
             return child
 
-        def recorded_frontier(sub):
+        def recorded_frontier(sub, kept=None):
             rec = records.get(sub)
             try:
-                return frontier(sub)
+                return frontier(sub, kept)
             finally:
                 if rec is not None:
                     rec["built"] += 1
@@ -567,3 +593,46 @@ class TestWarmChildren:
         monkeypatch.setattr(mobb.solver, "lower_bound_frontier", recorded_frontier)
         solve(generate(P2_GENERAL[0]), SolverConfig(node_selection=strategy))
         assert len(released) >= 10 and all(released)
+
+
+class TestInheritedBounds:
+    """A p = 2 child keeps its parent's extreme points for its bound only
+    when its relaxation lies inside the parent's: same cut rows, and a
+    parent bound from the frontier rather than SLB."""
+
+    def test_other_cut_rows_inherit_nothing(self):
+        # warmstart cuts that pruning drops and cuts that SLB adds give
+        # children other rows than their parent's
+        inst = generate(GeneratorSpec(family="GAP", p=2, seed=2, agents=3, jobs=6))
+        solver = _ChildRecordingSolver(inst, SolverConfig(
+            node_selection="lhg", warmstart=True, slb_enabled=True, slb_level=2))
+        points, _, stats = solver.solve()
+        assert stats.solved and points == oracle_front(inst)
+        seen = {"dropped": 0, "added": 0, "slb": 0}
+        for parent, slb, child in solver.children:
+            rows = child.sub.cut_rows
+            if slb:
+                seen["slb"] += 1
+                assert child.kept is None
+            if not parent.keeps_rows(rows):
+                assert child.kept is None
+                seen["added" if len(rows) > len(parent.cut_rows) else "dropped"] += 1
+        assert min(seen.values()) >= 1, seen
+
+    @pytest.mark.parametrize("spec", P2_GENERAL, ids=lambda s: s.family)
+    def test_kept_points_are_the_parents_with_the_fixing(self, spec):
+        inst = generate(spec)
+        solver = _ChildRecordingSolver(inst, SolverConfig(node_selection="lhg"))
+        points, _, _ = solver.solve()
+        assert points == oracle_front(inst)
+        kept = 0
+        for _, _, child in solver.children:
+            if child.kept is None:
+                continue
+            j = list(child.sub.fixings)[-1]     # the child's own fixing
+            v = child.sub.fixings[j]
+            assert child.kept.index == sorted(child.kept.index)
+            solutions = map(np.frombuffer, child.kept.solutions)
+            assert all(abs(x[j] - v) <= 1e-9 for x in solutions)
+            kept += 1
+        assert kept >= 5

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FLOAT_TOL, ModelError, Solution, weakly_dominates
+from .model import FLOAT_TOL, ModelError, Solution
 
 
 @dataclass
@@ -27,14 +27,6 @@ class LowerBoundSet:
     extreme_points: list = field(default_factory=list)     # np.ndarray images
     extreme_solutions: list = field(default_factory=list)  # aligned full x vectors
     facet_offsets: np.ndarray = None                       # p-vector or None
-
-    @property
-    def p(self) -> int:
-        if self.hyperplanes:
-            return len(self.hyperplanes[0][0])
-        if self.facet_offsets is not None:
-            return len(self.facet_offsets)
-        raise ModelError("empty lower bound set")
 
     @functools.cached_property
     def plane_matrix(self):
@@ -125,16 +117,15 @@ class IncumbentList:
 
     def update(self, candidate: Solution):
         """Insert a feasible solution; returns (accepted, removed solutions)."""
-        cand = candidate.image
-        for s in self.entries:
-            if weakly_dominates(s.image, cand):
-                return False, []
+        y = np.asarray(candidate.image)
+        if self.dominated(y[None, :])[0]:
+            return False, []
         kept, removed = [], []
-        for s in self.entries:
-            if weakly_dominates(cand, s.image):
-                removed.append(s)
-            else:
-                kept.append(s)
+        if self.entries:
+            # the entries the candidate weakly dominates go
+            swept = np.all(y <= np.array(self.images()), axis=1)
+            for s, out in zip(self.entries, swept.tolist()):
+                (removed if out else kept).append(s)
         kept.append(candidate)
         self.entries = kept
         return True, removed

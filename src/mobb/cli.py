@@ -8,7 +8,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import instances as inst_mod
 from .instances import GeneratorSpec, ParseError, generate, read_instance, write_instance
 from .model import DEFAULT_ENUM_CAP, ModelError, enumerate_nondominated
 from .solver import SolverConfig, solve
@@ -16,33 +15,30 @@ from .solver import SolverConfig, solve
 BENCH_HEADER = ["approach", "instance", "nodes", "time_s", "ips", "solved", "frontier"]
 PROFILE_HEADER = ["approach", "time_s", "proportion"]
 
-APPROACHES = ["BB", "NS(LHG)", "NS(HSZ)", "WST", "EC", "SLB"]
+# approach label -> the SolverConfig fields its feature stack sets
+PRESETS = {
+    "BB": dict(node_selection="depth"),
+    "NS(LHG)": dict(node_selection="lhg"),
+    "NS(HSZ)": dict(node_selection="hsz"),
+    "WST": dict(node_selection="lhg", warmstart=True),
+    "EC": dict(node_selection="lhg", warmstart=True, ec_enabled=True),
+    "SLB": dict(node_selection="lhg", warmstart=True, ec_enabled=True,
+                slb_enabled=True),
+}
+
+APPROACHES = list(PRESETS)
 
 
 def approach_config(label: str, time_limit: float,
                     refine_max: int = SolverConfig.refine_max) -> SolverConfig:
-    """Map a benchmark approach label to a solver configuration."""
-    base = label[:-3] if label.endswith("+TE") else label
+    """Map a benchmark approach label, a preset with an optional ``+TE``
+    suffix for terminal enumeration, to a solver configuration."""
     te = label.endswith("+TE")
-    if base == "BB":
-        cfg = SolverConfig(node_selection="depth")
-    elif base == "NS(LHG)":
-        cfg = SolverConfig(node_selection="lhg")
-    elif base == "NS(HSZ)":
-        cfg = SolverConfig(node_selection="hsz")
-    elif base == "WST":
-        cfg = SolverConfig(node_selection="lhg", warmstart=True)
-    elif base == "EC":
-        cfg = SolverConfig(node_selection="lhg", warmstart=True, ec_enabled=True)
-    elif base == "SLB":
-        cfg = SolverConfig(node_selection="lhg", warmstart=True, ec_enabled=True,
-                           slb_enabled=True)
-    else:
+    base = label[:-3] if te else label
+    if base not in PRESETS:
         raise ModelError(f"unknown approach label {label!r}")
-    cfg.te_enabled = te
-    cfg.time_limit = time_limit
-    cfg.refine_max = refine_max
-    return cfg
+    return SolverConfig(**PRESETS[base], te_enabled=te, time_limit=time_limit,
+                        refine_max=refine_max)
 
 
 def _add_config_flags(p: argparse.ArgumentParser):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import INFEASIBLE, OPTIMAL, RelaxedSubproblem, solve_lp
-from .model import Instance
 
 STATUS_OPTIMAL = "optimal"
 STATUS_FEASIBLE_TIMEOUT = "feasible_timeout"
@@ -41,7 +40,7 @@ def _fractional_var(x, free):
     xf = x[free]
     frac = np.abs(xf - np.round(xf))
     k = int(np.argmax(frac))
-    return free[k] if frac[k] > _INT_TOL else -1
+    return int(free[k]) if frac[k] > _INT_TOL else -1
 
 
 def solve_single_objective(sub: RelaxedSubproblem, c, time_limit: float = math.inf,
@@ -64,8 +63,7 @@ def solve_single_objective(sub: RelaxedSubproblem, c, time_limit: float = math.i
 
     def push(node_sub, res):
         nonlocal seq, best_val, best_x
-        free = node_sub.free_vars()
-        j = _fractional_var(res.x, free)
+        j = _fractional_var(res.x, node_sub.cols)
         if j < 0:
             xr = np.rint(res.x).astype(np.int64)
             val = float(c @ xr)

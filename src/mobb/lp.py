@@ -248,11 +248,11 @@ class RelaxedSubproblem:
     solve runs phase 1. Later objectives start phase 2 from the last optimal
     basis, which stays primal feasible because only the objective changes
     (Chvatal 1983, ch. 10). A copy made by ``with_row``, or by ``branch`` for
-    a child that keeps the cut rows, needs no phase 1 either: its first solve
-    starts from this subproblem's tableau, applies the copy's ``pending``
-    steps to it and restores feasibility by dual simplex. Every fixing is
-    substituted, so the tableau's structural columns are always ``cols``, the
-    free variables.
+    a child that keeps the cut rows, needs no phase 1 either: it starts from a
+    copy of this subproblem's tableau, with its row appended or its
+    ``pending`` fixing substituted, and restores feasibility by dual simplex.
+    Every fixing is substituted, so the tableau's structural columns are
+    always ``cols``, the free variables in increasing order.
     """
 
     def __init__(self, instance: Instance, fixings=None, cut_rows=None):
@@ -268,7 +268,8 @@ class RelaxedSubproblem:
         A = np.vstack(rows)
         b = np.concatenate(rhs)
         # the tableau's structural columns: the variables free at build time
-        self.cols = np.asarray(self.free_vars(), dtype=np.int64)
+        self.cols = np.asarray([j for j in range(instance.n) if j not in self.fixings],
+                               dtype=np.int64)
         self.fixed_idx = np.asarray(sorted(self.fixings), dtype=np.int64)
         self.xf = np.asarray([self.fixings[j] for j in self.fixed_idx], dtype=float)
         if len(self.fixed_idx):
@@ -282,12 +283,9 @@ class RelaxedSubproblem:
         # fractional knapsack: one nonnegative row plus box bounds
         self.knapsack = len(self.Af) == 1 and bool(np.all(self.Af[0] >= 0))
         self.tableau = None
-        # _Tableau -> _Tableau steps (a fixing or an appended row) the next
-        # simplex solve applies to a copy of ``tableau``, in order
-        self.pending = []
-
-    def free_vars(self):
-        return [j for j in range(self.instance.n) if j not in self.fixings]
+        # (column, value): a fixing the next simplex solve substitutes into a
+        # copy of ``tableau``, which is then still the parent's; or None
+        self.pending = None
 
     def full_x(self, y) -> np.ndarray:
         """The n-vector with ``y`` on the columns and every fixing exact."""
@@ -297,21 +295,20 @@ class RelaxedSubproblem:
         return x
 
     def with_row(self, a, rhs) -> "RelaxedSubproblem":
-        """A copy whose next simplex solve appends the row a.y <= rhs, over
-        ``cols``, to a copy of this subproblem's tableau as it then stands.
+        """A copy with the row a.y <= rhs, over ``cols``, appended to a copy
+        of this subproblem's tableau.
 
         The appended copy keeps the reduced costs, so it starts dual feasible,
         and a dual simplex restores primal feasibility instead of phase 1.
         Phase 1 would build from the system alone and drop the row, so this
-        subproblem must have a tableau; a knapsack gets one only from
-        ``simplex``, never from the greedy.
+        subproblem must have a tableau with no pending fixing; a knapsack gets
+        one only from ``simplex``, never from the greedy.
         """
-        if self.tableau is None:
-            raise ValueError("with_row needs a simplex tableau")
+        if self.tableau is None or self.pending is not None:
+            raise ValueError("with_row needs a solved simplex tableau")
         extended = copy.copy(self)
         extended.knapsack = False     # the greedy would ignore the row
-        extended.pending = self.pending + [
-            functools.partial(_Tableau.with_row, a=a, rhs=float(rhs))]
+        extended._settle(self.tableau.with_row(a, float(rhs)))
         return extended
 
     def keeps_rows(self, rows) -> bool:
@@ -325,13 +322,15 @@ class RelaxedSubproblem:
         """The child with x_j fixed to v and ``cut_rows`` (by default this
         subproblem's) as its cut rows.
 
-        When this subproblem has a simplex tableau, is not a knapsack and the
-        child keeps exactly its cut rows, the child's first solve starts from
-        a copy of that tableau as it then stands: x_j leaves the basis if it
-        is basic (``_Tableau.fixed``), moves to v and its column is deleted,
-        and a dual simplex restores feasibility. Until then the child shares
-        the tableau, not this subproblem. Otherwise the child is built afresh.
+        This subproblem first substitutes its own pending fixing. Then, when
+        it has a simplex tableau, is not a knapsack and the child keeps
+        exactly its cut rows, the child's first solve starts from a copy of
+        that tableau as it then stands: x_j leaves the basis if it is basic
+        (``_Tableau.fixed``), moves to v and its column is deleted, and a dual
+        simplex restores feasibility. Until then the child shares the tableau,
+        not this subproblem. Otherwise the child is built afresh.
         """
+        self.apply_pending()
         fixings = {**self.fixings, j: v}
         rows = self.cut_rows if cut_rows is None else cut_rows
         if self.tableau is None or self.knapsack or not self.keeps_rows(rows):
@@ -345,26 +344,26 @@ class RelaxedSubproblem:
         child.cols = np.delete(self.cols, c)
         child.fixed_idx = np.insert(self.fixed_idx, pos, j)
         child.xf = np.insert(self.xf, pos, float(v))
-        child.pending = self.pending + [
-            functools.partial(_Tableau.fixed, c=c, v=float(v))]
+        child.pending = (c, float(v))
         return child
 
     def apply_pending(self):
-        """Apply the pending steps to a copy of the tableau and restore
-        feasibility by dual simplex, as the next simplex solve does first.
-        Afterwards this subproblem no longer holds the tableau it was
+        """Substitute the pending fixing into a copy of the tableau and
+        restore feasibility by dual simplex, as the next simplex solve does
+        first. Afterwards this subproblem no longer holds the tableau it was
         branched from."""
-        if not self.pending:
-            return
-        tab = self.tableau
-        for step in self.pending:
-            tab = step(tab)
-            if tab is None:
-                break
-        else:
-            if _dual_optimize(tab.T, tab.basis, tab.T.shape[1] - 1) == INFEASIBLE:
-                tab = None
-        self.pending = []
+        if self.pending is not None:
+            c, v = self.pending
+            self.pending = None
+            self._settle(self.tableau.fixed(c, v))
+
+    def _settle(self, tab):
+        """Make ``tab``, a dual feasible copy, this subproblem's tableau once
+        a dual simplex has made it primal feasible; None, or a dual simplex
+        that finds no feasible point, leaves the subproblem infeasible."""
+        if tab is not None and _dual_optimize(
+                tab.T, tab.basis, tab.T.shape[1] - 1) == INFEASIBLE:
+            tab = None
         self.tableau = tab
         if tab is None:
             self.infeasible = True
@@ -470,7 +469,7 @@ def solve_lp(sub: RelaxedSubproblem, c) -> LpResult:
             sub, c, _greedy_knapsack_lp(c[sub.cols], sub.Af[0], sub.bf[0]))
     offset = float(c[sub.fixed_idx] @ sub.xf)
     # a branched child learns whether its fixings hold from its first solve
-    if not len(sub.cols) and not sub.pending:
+    if not len(sub.cols) and sub.pending is None:
         return LpResult(status=OPTIMAL, value=offset, x=sub.full_x(0.0))
     point = sub.simplex(c[sub.cols])
     if point is None:

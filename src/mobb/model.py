@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,12 +183,6 @@ def weakly_dominates(y1, y2) -> bool:
     return bool(np.all(np.asarray(y1) <= np.asarray(y2)))
 
 
-def dominates(y1, y2) -> bool:
-    y1 = np.asarray(y1)
-    y2 = np.asarray(y2)
-    return bool(np.all(y1 <= y2)) and bool(np.any(y1 < y2))
-
-
 def is_feasible(instance: Instance, x) -> bool:
     """Check every constraint row with its sense for a binary vector."""
     x = np.asarray(x, dtype=np.int64)
@@ -265,10 +259,3 @@ def enumerate_nondominated(instance: Instance, fixings=None, cap: int = DEFAULT_
     return [Solution(x=tuple(X[i].tolist()), image=tuple(Y[i].tolist()))
             for i in front]
 
-
-def ideal_and_nadir(points):
-    """Componentwise min (ideal) and max (Nadir) over a nonempty point set."""
-    pts = np.asarray(list(points))
-    if pts.size == 0:
-        raise ModelError("ideal_and_nadir of empty set")
-    return pts.min(axis=0), pts.max(axis=0)

@@ -62,6 +62,9 @@ class SolverConfig:
                              f"enumeration cap {DEFAULT_ENUM_CAP}")
         if self.slb_level < 1:
             raise ModelError("slb_level must be >= 1")
+        # not NaN: every comparison with it is False, so it would never stop
+        if not self.time_limit > 0:
+            raise ModelError("time_limit must be a positive number of seconds")
         if self.node_selection not in (SELECT_DEPTH, SELECT_BREADTH, SELECT_LHG, SELECT_HSZ):
             raise ModelError(f"unknown node selection {self.node_selection!r}")
         if self.branching not in (BRANCH_MOF, BRANCH_SOR):
@@ -133,19 +136,19 @@ def prune_redundant_cuts(cuts, L: LowerBoundSet):
 def sum_of_ratios_variable(instance: Instance, free):
     """Free variable with the largest summed objective-to-weight ratio; the
     first one among equal scores."""
-    return free[int(np.argmax(instance.ratio_scores[free]))]
+    return int(free[np.argmax(instance.ratio_scores[free])])
 
 
 def choose_branch_variable(instance: Instance, L: LowerBoundSet, free, config: SolverConfig):
     """Most-often-fractional over the bound's extreme solutions, else sum-of-ratios."""
-    if not free:
+    if not len(free):
         raise ModelError("no free variables to branch on")
     if config.branching == BRANCH_MOF and L.extreme_solutions:
         X = np.asarray(L.extreme_solutions)[:, free]
         counts = np.sum(np.abs(X - np.rint(X)) > _INT_TOL, axis=0)
         best = int(np.argmax(counts))  # argmax keeps the lowest index on ties
         if counts[best] > 0:
-            return free[best]
+            return int(free[best])
     return sum_of_ratios_variable(instance, free)
 
 
@@ -286,9 +289,6 @@ class Solver:
             return None, cuts
         if res.solution is not None:
             self._accept(Solution.from_x(self.instance, res.solution))
-        offsets = node.parent_facet_offsets
-        if offsets is None:
-            offsets = np.full(p, -float(self.M))
         hyperplanes = []
         if res.status != STATUS_NO_SOLUTION_TIMEOUT and level is not None:
             hyperplanes.append((np.asarray(level[0], dtype=float), float(level[1])))
@@ -296,8 +296,9 @@ class Solver:
             if cut is not None:
                 cuts = cuts + [cut]
                 self.stats.cut_log.append((dict(sub.fixings), cut[0], cut[1]))
-        return LowerBoundSet(hyperplanes=hyperplanes,
-                             facet_offsets=np.asarray(offsets, dtype=float)), cuts
+        # SLB runs at depth >= slb_level >= 1, so the node has a parent
+        return LowerBoundSet(hyperplanes=hyperplanes, facet_offsets=np.asarray(
+            node.parent_facet_offsets, dtype=float)), cuts
 
     # -- node processing ---------------------------------------------------
 
@@ -331,9 +332,9 @@ class Solver:
         cfg = self.config
         inst = self.instance
         sub = node.sub
-        free = sub.free_vars()
+        free = sub.cols
 
-        if not free:
+        if not len(free):
             # a leaf's one point joins the incumbents, which then dominate it
             sols = enumerate_nondominated(inst, sub.fixings)
             if not sols:

@@ -112,7 +112,32 @@ def surviving(L, K):
     return K.arr[surviving_mask(L, K.arr)]
 
 
+def _update_loop(entries, candidate):
+    """Scalar oracle for ``IncumbentList.update``: reject a candidate that an
+    entry weakly dominates, else drop the entries it weakly dominates and
+    append it. Returns (accepted, removed, new entries)."""
+    y = candidate.image
+    if any(all(a <= b for a, b in zip(s.image, y)) for s in entries):
+        return False, [], entries
+    removed = [s for s in entries if all(a <= b for a, b in zip(y, s.image))]
+    kept = [s for s in entries if s not in removed]
+    return True, removed, kept + [candidate]
+
+
 class TestIncumbentList:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda p: st.lists(
+        st.tuples(*[st.integers(-3, 3)] * p), max_size=40)))
+    def test_update_matches_scalar_oracle(self, images):
+        # a small value range gives repeats and ties in some objectives
+        U = IncumbentList()
+        entries = []
+        for i, y in enumerate(images):
+            cand = Solution(x=(i,), image=y)
+            accepted, removed, entries = _update_loop(entries, cand)
+            assert U.update(cand) == (accepted, removed)
+            assert U.entries == entries
+
     def test_duplicate_rejected(self):
         U = IncumbentList(entries=[sol((2, 9)), sol((6, 7))])
         accepted, removed = U.update(sol((6, 7)))

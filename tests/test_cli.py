@@ -103,6 +103,13 @@ class TestSolveCommand:
         assert main(["solve", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("limit", ["nan", "0", "-1"])
+    def test_time_limit_not_positive_is_clean_error(self, kp_file, capsys,
+                                                    command, limit):
+        assert main([command, str(kp_file), "--time-limit", limit]) == 2
+        assert "time_limit" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_matches_solver(self, kp_file, capsys):

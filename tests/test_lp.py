@@ -377,8 +377,8 @@ class TestWarmChildren:
         sub = RelaxedSubproblem(inst, {}, cuts)
         assert solve_lp(sub, objectives[0]).status == OPTIMAL
         warm = 0
-        while len(sub.free_vars()):
-            j = int(rng.choice(sub.free_vars()))
+        while len(sub.cols):
+            j = int(rng.choice(sub.cols))
             c = objectives[int(rng.random() < 0.3)]
             feasible = []
             for v in (0, 1):
@@ -412,8 +412,8 @@ class TestWarmChildren:
         sub = RelaxedSubproblem(inst, {}, cuts)
         solve_lp(sub, c)
         solved = 0
-        while len(sub.free_vars()):
-            j = int(rng.choice(sub.free_vars()))
+        while len(sub.cols):
+            j = int(rng.choice(sub.cols))
             feasible = []
             for v in (0, 1):
                 child = sub.branch(j, v)
@@ -428,8 +428,8 @@ class TestWarmChildren:
         assert solved >= 4
 
     def test_child_branched_before_its_solve(self):
-        # the grandchild substitutes both fixings on its first solve, and the
-        # child, solved after it, still starts from the parent's tableau
+        # branching the child substitutes its own fixing first, so the
+        # grandchild holds one pending fixing on the child's tableau
         inst = generate(CHAIN_SPECS[0])
         c = inst.C[0] + inst.C[1]
         sub = RelaxedSubproblem(inst)
@@ -439,6 +439,8 @@ class TestWarmChildren:
             for v, u in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 child = sub.branch(j, v)
                 grand = child.branch(k, u)
+                assert child.pending is None
+                assert grand.pending is None or grand.tableau is child.tableau
                 checked += _matches_fresh(grand, c).status == OPTIMAL
                 _matches_fresh(child, c)
         assert checked >= 6
@@ -461,7 +463,7 @@ class TestWarmChildren:
                     status = _matches_fresh(sub, c).status
                     if status == INFEASIBLE:
                         break
-                if not sub.free_vars():
+                if not len(sub.cols):
                     ends[status] += 1
         assert ends == {OPTIMAL: 18, INFEASIBLE: 18}
 
@@ -937,8 +939,8 @@ class TestInheritedFrontier:
         cuts = _level_cut(inst, rng) if inst.m == 1 else []
         sub = RelaxedSubproblem(inst, {}, cuts)
         L = lower_bound_frontier(sub)
-        while sub.free_vars():
-            j = int(rng.choice(sub.free_vars()))
+        while len(sub.cols):
+            j = int(rng.choice(sub.cols))
             v = int(rng.integers(2))
             # the child starts from its parent's bound, itself inherited
             child = sub.branch(j, v)
@@ -972,7 +974,7 @@ class TestInheritedFrontier:
                             lambda *args: calls.append(1) or solve_lp(*args))
         got = lower_bound_frontier(child, kept)
         assert not calls
-        assert not child.pending and child.tableau is not sub.tableau
+        assert child.pending is None and child.tableau is not sub.tableau
         assert np.array_equal(got.extreme_points, L.extreme_points)
         assert np.array_equal(got.facet_offsets, L.facet_offsets)
         assert len(got.hyperplanes) == 2 + kept.count - 1

@@ -133,10 +133,10 @@ def test_branch_chains_match_highs(spec):
             sub = RelaxedSubproblem(inst, {}, cuts)
             if solve_lp(sub, c).status == INFEASIBLE:
                 continue
-            while len(sub.free_vars()):
+            while len(sub.cols):
                 if frontier:
                     lower_bound_frontier(sub)
-                j = int(rng.choice(sub.free_vars()))
+                j = int(rng.choice(sub.cols))
                 feasible = []
                 for v in (0, 1):
                     child = sub.branch(j, v)

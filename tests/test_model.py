@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobb.model import (DEFAULT_ENUM_CAP, Dominance, Instance, ModelError,
-                        Solution, compare, dominates, enumerate_nondominated,
-                        evaluate, ideal_and_nadir, is_feasible,
-                        weakly_dominates)
+                        Solution, compare, enumerate_nondominated, evaluate,
+                        is_feasible, weakly_dominates)
 
 
 def _enumerate_scalar(instance, fixings=None, cap=DEFAULT_ENUM_CAP):
@@ -118,7 +117,6 @@ class TestCompare:
     def test_equal_vectors_weakly_dominate_both_ways(self):
         assert compare((1, 2, 3), (1, 2, 3)) is Dominance.EQUAL
         assert weakly_dominates((1, 2, 3), (1, 2, 3))
-        assert not dominates((1, 2, 3), (1, 2, 3))
 
     def test_strict_both_components(self):
         assert compare((0, 0), (1, 1)) is Dominance.STRICTLY_DOMINATES
@@ -247,21 +245,6 @@ class TestEnumerateNondominated:
                                                     senses):
         # 17 or 18 free variables span two or four 2**16-row chunks; n <= 18
         self._check_against_scalar(seed, p, nfree, min(nfix, 18 - nfree), senses)
-
-
-class TestIdealAndNadir:
-    def test_componentwise_min_max(self):
-        ideal, nadir = ideal_and_nadir([(-3, -1), (-1, -3)])
-        assert list(ideal) == [-3, -3]
-        assert list(nadir) == [-1, -1]
-
-    def test_singleton(self):
-        ideal, nadir = ideal_and_nadir([(5, 5)])
-        assert list(ideal) == [5, 5] == list(nadir)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ModelError):
-            ideal_and_nadir([])
 
 
 class TestSolution:

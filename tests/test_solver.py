@@ -378,6 +378,12 @@ class TestConfigValidation:
         with pytest.raises(ModelError):
             SolverConfig(slb_level=0)
 
+    @pytest.mark.parametrize("limit", [math.nan, 0.0, -1.0, -math.inf])
+    def test_time_limit_not_positive_rejected(self, limit):
+        # NaN compares False with every deadline, so a run would never stop
+        with pytest.raises(ModelError):
+            SolverConfig(time_limit=limit)
+
 
 class TestNoFalsePruning:
     def test_dominance_fathomed_subtrees_add_nothing(self):

@@ -58,7 +58,7 @@ def surviving_mask(L: LowerBoundSet, U) -> np.ndarray:
     normals, rhs = L.plane_matrix
     if len(rhs) == 0:
         return np.ones(len(U), dtype=bool)
-    return np.all(U @ normals.T > rhs[None, :] + FLOAT_TOL, axis=1)
+    return (U @ normals.T > rhs[None, :] + FLOAT_TOL).all(axis=1)
 
 
 MEASURE_LHG = "lhg"
@@ -113,7 +113,7 @@ class IncumbentList:
         if not self.entries:
             return np.zeros(len(Y), dtype=bool)
         E = np.array(self.images())
-        return np.any(np.all(E[None, :, :] <= Y[:, None, :], axis=2), axis=1)
+        return (E[None, :, :] <= Y[:, None, :]).all(axis=2).any(axis=1)
 
     def update(self, candidate: Solution):
         """Insert a feasible solution; returns (accepted, removed solutions)."""

@@ -34,12 +34,12 @@ class ScalarResult:
 
 def _fractional_var(x, free):
     """Most fractional free variable, the first of equals, or -1 if x is
-    integral on the free set. np.round rounds half to even, as round does."""
+    integral on the free set. ndarray.round rounds half to even, as round does."""
     if not len(free):
         return -1
     xf = x[free]
-    frac = np.abs(xf - np.round(xf))
-    k = int(np.argmax(frac))
+    frac = np.abs(xf - xf.round())
+    k = int(frac.argmax())
     return int(free[k]) if frac[k] > _INT_TOL else -1
 
 

@@ -65,7 +65,7 @@ def _optimize(T, basis, ncols):
             cands = (obj < -_PIVOT_TOL).nonzero()[0]
             entering = int(cands[0]) if len(cands) else -1
         else:
-            entering = int(np.argmin(obj))
+            entering = int(obj.argmin())
             if obj[entering] >= -_PIVOT_TOL:
                 entering = -1
         if entering < 0:
@@ -80,7 +80,7 @@ def _optimize(T, basis, ncols):
             degenerate += 1
         tie = pos[np.abs(ratios - rmin) <= 1e-12]
         if use_bland and len(tie) > 1:
-            leave = int(tie[np.argmin(basis[tie])])
+            leave = int(tie[basis[tie].argmin()])
         else:
             leave = int(tie[0])
         _pivot(T, basis, leave, entering)
@@ -100,9 +100,9 @@ def _dual_optimize(T, basis, ncols):
             cands = (rhs < -_PIVOT_TOL).nonzero()[0]
             if not len(cands):
                 return OPTIMAL
-            leave = int(cands[np.argmin(basis[cands])])
+            leave = int(cands[basis[cands].argmin()])
         else:
-            leave = int(np.argmin(rhs))
+            leave = int(rhs.argmin())
             if rhs[leave] >= -_PIVOT_TOL:
                 return OPTIMAL
         row = rows[leave, :ncols]
@@ -122,7 +122,7 @@ def _dual_optimize(T, basis, ncols):
             entering = int(tie[0])
         else:
             # the largest pivot element among the ties, for stability
-            entering = int(tie[np.argmin(row[tie])])
+            entering = int(tie[row[tie].argmin()])
         _pivot(T, basis, leave, entering)
 
 
@@ -171,7 +171,7 @@ class _Tableau:
                     _pivot(T, basis, i, int(nz[0]))
                 else:
                     alive[i] = False
-            T = np.delete(T[alive], art_cols, axis=1)
+            T = np.concatenate((T[alive, :nv + m], T[alive, -1:]), axis=1)
             basis = basis[alive[:m]]
         return cls(T, basis, nv)
 
@@ -208,7 +208,7 @@ class _Tableau:
         row[w - 1] = 1.0
         row[-1] = rhs
         T[m] = _price_out(row, T, self.basis)
-        return _Tableau(T, np.append(self.basis, w - 1), self.nv)
+        return _Tableau(T, np.concatenate((self.basis, [w - 1])), self.nv)
 
     def fixed(self, c, v) -> "_Tableau":
         """A copy with structural column c fixed to v and deleted, or None
@@ -218,10 +218,10 @@ class _Tableau:
         entries whose sign keeps that column nonnegative, or over both signs
         at a zero right-hand side; the row always has a nonzero entry in some
         nonbasic slack column, since the basis matrix is invertible."""
-        T = np.delete(self.T, c, axis=1)
+        T = np.concatenate((self.T[:, :c], self.T[:, c + 1:]), axis=1)
         T[:, -1] -= v * self.T[:, c]
         basis = self.basis - (self.basis > c)
-        r = np.flatnonzero(self.basis == c)
+        r = (self.basis == c).nonzero()[0]
         if len(r):
             r = int(r[0])
             row, rhs = T[r, :-1], T[r, -1]
@@ -233,7 +233,7 @@ class _Tableau:
                 return None
             ratios = np.maximum(T[-1, cand], 0.0) / np.abs(row[cand])
             tie = cand[ratios - ratios.min() <= 1e-12]
-            _pivot(T, basis, r, int(tie[np.argmax(np.abs(row[tie]))]))
+            _pivot(T, basis, r, int(tie[np.abs(row[tie]).argmax()]))
         return _Tableau(T, basis, self.nv - 1)
 
 
@@ -276,12 +276,12 @@ class RelaxedSubproblem:
             b = b - A[:, self.fixed_idx] @ self.xf
         Af = A[:, self.cols]
         # rows with no free support must hold outright
-        empty = np.all(np.abs(Af) <= 1e-12, axis=1)
-        self.infeasible = bool(np.any(b[empty] < -_FEAS_TOL))
+        empty = (np.abs(Af) <= 1e-12).all(axis=1)
+        self.infeasible = bool((b[empty] < -_FEAS_TOL).any())
         self.Af = Af[~empty]
         self.bf = b[~empty]
         # fractional knapsack: one nonnegative row plus box bounds
-        self.knapsack = len(self.Af) == 1 and bool(np.all(self.Af[0] >= 0))
+        self.knapsack = len(self.Af) == 1 and bool((self.Af[0] >= 0).all())
         self.tableau = None
         # (column, value): a fixing the next simplex solve substitutes into a
         # copy of ``tableau``, which is then still the parent's; or None
@@ -335,15 +335,15 @@ class RelaxedSubproblem:
         rows = self.cut_rows if cut_rows is None else cut_rows
         if self.tableau is None or self.knapsack or not self.keeps_rows(rows):
             return RelaxedSubproblem(self.instance, fixings, list(rows))
-        c = int(np.searchsorted(self.cols, j))
-        pos = int(np.searchsorted(self.fixed_idx, j))
+        c = int(self.cols.searchsorted(j))
+        pos = int(self.fixed_idx.searchsorted(j))
         # Af and bf stay an ancestor's: only phase 1 and the greedy read them
         child = copy.copy(self)
         child.fixings = fixings
         child.cut_rows = list(self.cut_rows)
-        child.cols = np.delete(self.cols, c)
-        child.fixed_idx = np.insert(self.fixed_idx, pos, j)
-        child.xf = np.insert(self.xf, pos, float(v))
+        child.cols = np.concatenate((self.cols[:c], self.cols[c + 1:]))
+        child.fixed_idx = np.concatenate((self.fixed_idx[:pos], [j], self.fixed_idx[pos:]))
+        child.xf = np.concatenate((self.xf[:pos], [float(v)], self.xf[pos:]))
         child.pending = (c, float(v))
         return child
 
@@ -396,13 +396,13 @@ def _greedy_knapsack_lp(c, w, cap):
     if cap < -_FEAS_TOL:
         return None
     y = np.zeros(len(c))
-    gain = np.where(c < -_PIVOT_TOL)[0]
+    gain = (c < -_PIVOT_TOL).nonzero()[0]
     freebies = gain[w[gain] <= _PIVOT_TOL]
     y[freebies] = 1.0
     paid = gain[w[gain] > _PIVOT_TOL]
     order = paid[np.lexsort((paid, c[paid] / w[paid]))]
-    cum = np.cumsum(w[order])
-    nfull = int(np.searchsorted(cum, float(cap) + 1e-12, side="right"))
+    cum = w[order].cumsum()
+    nfull = int(cum.searchsorted(float(cap) + 1e-12, side="right"))
     y[order[:nfull]] = 1.0
     if nfull < len(order):
         left = float(cap) - (cum[nfull - 1] if nfull else 0.0)
@@ -476,7 +476,7 @@ def solve_lp(sub: RelaxedSubproblem, c) -> LpResult:
         return LpResult(status=INFEASIBLE)
     value, y = point
     return LpResult(status=OPTIMAL, value=value + offset,
-                    x=sub.full_x(np.clip(y, 0.0, 1.0)))
+                    x=sub.full_x(y.clip(0.0, 1.0)))
 
 
 def _solve_lps(sub: RelaxedSubproblem, objs) -> list:
@@ -580,7 +580,7 @@ def _facet_normal(ya, yb):
 
 
 def _close(ya, yb) -> bool:
-    return np.allclose(ya, yb, rtol=0.0, atol=1e-7)
+    return bool((np.abs(ya - yb) <= 1e-7).all())
 
 
 def _place_lexmin(known, y, x, first: bool):
@@ -657,7 +657,7 @@ def _frontier_2d(sub: RelaxedSubproblem, kept: KeptPoints = None) -> LowerBoundS
     hyperplanes = [(np.array([1.0, 0.0]), v1), (np.array([0.0, 1.0]), v2)] + facets
     points = [y for _, y, _ in known]
     sols = [x for _, _, x in known]
-    seen = {tuple(np.round(y, 7)) for y in points}
+    seen = {tuple(y.round(7)) for y in points}
     # the gaps not on a kept facet, the leftmost searched first
     stack = [(ka[1], kb[1]) for ka, kb in zip(known[::-1][1:], known[::-1])
              if ka[0] is None or kb[0] != ka[0] + 1]
@@ -670,7 +670,7 @@ def _frontier_2d(sub: RelaxedSubproblem, kept: KeptPoints = None) -> LowerBoundS
         hyperplanes.append((lam, res.value))
         if res.value < float(lam @ ya) - FLOAT_TOL:
             yc = inst.C @ res.x
-            key = tuple(np.round(yc, 7))
+            key = tuple(yc.round(7))
             if key in seen:
                 # a point found before: at objective values of 2**52 and
                 # more, float64 rounding fakes the improvement, and

@@ -40,8 +40,11 @@ _INT_TOL = 1e-6
 _SLB_NODE_LIMIT = 200
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
+    """Frozen, so that every instance has passed ``__post_init__``'s checks;
+    ``dataclasses.replace`` builds a variant and runs them again."""
+
     node_selection: str = SELECT_DEPTH
     branching: str = BRANCH_MOF
     warmstart: bool = False
@@ -62,6 +65,8 @@ class SolverConfig:
                              f"enumeration cap {DEFAULT_ENUM_CAP}")
         if self.slb_level < 1:
             raise ModelError("slb_level must be >= 1")
+        if self.refine_max < 0:
+            raise ModelError("refine_max must be >= 0")
         # not NaN: every comparison with it is False, so it would never stop
         if not self.time_limit > 0:
             raise ModelError("time_limit must be a positive number of seconds")
@@ -136,7 +141,7 @@ def prune_redundant_cuts(cuts, L: LowerBoundSet):
 def sum_of_ratios_variable(instance: Instance, free):
     """Free variable with the largest summed objective-to-weight ratio; the
     first one among equal scores."""
-    return int(free[np.argmax(instance.ratio_scores[free])])
+    return int(free[instance.ratio_scores[free].argmax()])
 
 
 def choose_branch_variable(instance: Instance, L: LowerBoundSet, free, config: SolverConfig):
@@ -145,8 +150,8 @@ def choose_branch_variable(instance: Instance, L: LowerBoundSet, free, config: S
         raise ModelError("no free variables to branch on")
     if config.branching == BRANCH_MOF and L.extreme_solutions:
         X = np.asarray(L.extreme_solutions)[:, free]
-        counts = np.sum(np.abs(X - np.rint(X)) > _INT_TOL, axis=0)
-        best = int(np.argmax(counts))  # argmax keeps the lowest index on ties
+        counts = (np.abs(X - np.rint(X)) > _INT_TOL).sum(axis=0)
+        best = int(counts.argmax())  # argmax keeps the lowest index on ties
         if counts[best] > 0:
             return int(free[best])
     return sum_of_ratios_variable(instance, free)
@@ -308,7 +313,7 @@ class Solver:
         if L.extreme_solutions:
             X = np.asarray(L.extreme_solutions)
             Xr = np.rint(X)
-            idx = np.where(np.max(np.abs(X - Xr), axis=1) <= _INT_TOL)[0]
+            idx = (np.abs(X - Xr).max(axis=1) <= _INT_TOL).nonzero()[0]
             if len(idx):
                 # U only improves, so an image it weakly dominates now would
                 # be rejected anyway: skip its feasibility check and update

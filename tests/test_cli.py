@@ -110,6 +110,12 @@ class TestSolveCommand:
         assert main([command, str(kp_file), "--time-limit", limit]) == 2
         assert "time_limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_negative_refine_max_is_clean_error(self, kp_file, capsys, command):
+        # a negative cap used to run as if it were 0 and exit 0
+        assert main([command, str(kp_file), "--refine-max", "-3"]) == 2
+        assert "refine_max" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_matches_solver(self, kp_file, capsys):

@@ -349,6 +349,72 @@ class TestKernelLockstep:
                             np.concatenate([b, -b, np.ones(nv)]))
 
 
+def _fixed_reference(tab, c, v):
+    """``_Tableau.fixed`` with the column deleted by ``np.delete``."""
+    T = np.delete(tab.T, c, axis=1)
+    T[:, -1] -= v * tab.T[:, c]
+    basis = tab.basis - (tab.basis > c)
+    r = np.flatnonzero(tab.basis == c)
+    if len(r):
+        r = int(r[0])
+        row, rhs = T[r, :-1], T[r, -1]
+        cand = np.abs(row) > _PIVOT_TOL
+        if abs(rhs) > _FEAS_TOL:
+            cand &= (row > 0) == (rhs > 0)
+        cand = np.flatnonzero(cand)
+        if not len(cand):
+            return None
+        ratios = np.maximum(T[-1, cand], 0.0) / np.abs(row[cand])
+        tie = cand[ratios - np.min(ratios) <= 1e-12]
+        mobb.lp._pivot(T, basis, r, int(tie[np.argmax(np.abs(row[tie]))]))
+    return T, basis
+
+
+def _with_row_reference(tab, a, rhs):
+    """``_Tableau.with_row`` by ``np.insert`` of the slack column and the
+    row, and ``np.append`` of the slack to the basis."""
+    m, w = len(tab.basis), tab.T.shape[1]
+    T = np.insert(tab.T, w - 1, 0.0, axis=1)
+    row = np.zeros(w + 1)
+    row[:tab.nv] = a
+    row[w - 1] = 1.0
+    row[-1] = rhs
+    T = np.insert(T, m, row - row[tab.basis] @ T[:m], axis=0)
+    return T, np.append(tab.basis, w - 1)
+
+
+class TestTableauCopies:
+    """The copies a child or a cut row starts from equal, bit for bit, the
+    same copies written with numpy's delete, insert and append."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6),
+           st.booleans(), st.booleans())
+    def test_fixed_and_with_row(self, seed, m, nv, dual, integral):
+        rng = np.random.default_rng(seed)
+        T, basis = _random_tableau(rng, m, nv, dual, integral)
+        if not dual:
+            # structural columns enter the basis, so fixing one pivots it out
+            mobb.lp._optimize(T, basis, T.shape[1] - 1)
+        tab = _Tableau(T, basis, nv)
+        before = T.copy(), basis.copy()
+        for c in range(nv):
+            for v in (0, 1):
+                got, ref = tab.fixed(c, v), _fixed_reference(tab, c, v)
+                assert (got is None) == (ref is None)
+                if got is not None:
+                    assert np.array_equal(got.T, ref[0])
+                    assert np.array_equal(got.basis, ref[1])
+                    assert got.basis.dtype == ref[1].dtype and got.nv == nv - 1
+        a, rhs = rng.integers(-3, 4, nv).astype(float), float(rng.integers(-2, 5))
+        got, ref = tab.with_row(a, rhs), _with_row_reference(tab, a, rhs)
+        assert np.array_equal(got.T, ref[0])
+        assert np.array_equal(got.basis, ref[1])
+        assert got.basis.dtype == ref[1].dtype
+        # the copies leave the tableau they were made from as it was
+        assert np.array_equal(tab.T, before[0]) and np.array_equal(tab.basis, before[1])
+
+
 def _matches_fresh(sub, c):
     """``solve_lp(sub, c)`` against a fresh subproblem with the same fixings
     and cut rows: the same status, the value within 1e-7, every fixing exact."""
@@ -390,6 +456,32 @@ class TestWarmChildren:
                 break
             sub = feasible[int(rng.integers(len(feasible)))]
         assert warm >= 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, len(CHAIN_SPECS) - 1), st.integers(0, 10_000))
+    def test_chain_arrays_equal_fresh(self, family, seed):
+        # a child's free columns and fixings, updated in place of a rebuild,
+        # hold exactly what a fresh subproblem with its fixings holds
+        inst = generate(CHAIN_SPECS[family])
+        rng = np.random.default_rng(seed)
+        cuts = _level_cut(inst, rng) if inst.m == 1 else []
+        c = rng.random(inst.p) @ inst.C
+        sub = RelaxedSubproblem(inst, {}, cuts)
+        solve_lp(sub, c)
+        warm = 0
+        while len(sub.cols):
+            j = int(rng.choice(sub.cols))
+            child = sub.branch(j, int(rng.integers(2)))
+            warm += child.tableau is not None
+            fresh = RelaxedSubproblem(inst, dict(child.fixings), list(cuts))
+            for name in ("cols", "fixed_idx", "xf"):
+                got, ref = getattr(child, name), getattr(fresh, name)
+                assert np.array_equal(got, ref) and got.dtype == ref.dtype, name
+            # solve some children, and branch others before their first solve
+            if rng.random() < 0.5 and solve_lp(child, c).status != OPTIMAL:
+                break
+            sub = child
+        assert warm >= 1
 
     @pytest.mark.parametrize("family", range(len(CHAIN_SPECS)))
     def test_parent_objective_needs_no_primal_pivot(self, monkeypatch, family):

@@ -1,5 +1,6 @@
 """Tests for the branch-and-bound driver and its adaptive components."""
 
+import dataclasses
 import itertools
 import math
 import time
@@ -383,6 +384,20 @@ class TestConfigValidation:
         # NaN compares False with every deadline, so a run would never stop
         with pytest.raises(ModelError):
             SolverConfig(time_limit=limit)
+
+    def test_frozen_fields_are_checked_again_on_replace(self):
+        # a field assigned after construction would skip __post_init__
+        cfg = SolverConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.time_limit = math.nan
+        assert cfg.time_limit == SolverConfig.time_limit
+        for bad in ({"time_limit": math.nan}, {"te_threshold": 0},
+                    {"refine_max": -3}):
+            with pytest.raises(ModelError):
+                dataclasses.replace(cfg, **bad)
+        variant = dataclasses.replace(cfg, node_selection="lhg", time_limit=5.0)
+        assert (variant.node_selection, variant.time_limit) == ("lhg", 5.0)
+        assert cfg.node_selection == SolverConfig.node_selection
 
 
 class TestNoFalsePruning:

@@ -4,12 +4,12 @@ frontier of the linear relaxation."""
 from __future__ import annotations
 
 import copy
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .bounds import LowerBoundSet
 from .model import FLOAT_TOL, Instance, ModelError
@@ -689,21 +689,17 @@ def _frontier_2d(sub: RelaxedSubproblem, kept: KeptPoints = None) -> LowerBoundS
                          facet_offsets=np.array([v1, v2]))
 
 
-@functools.lru_cache(maxsize=256)
-def _p_subsets(h, p):
-    return np.asarray(list(itertools.combinations(range(h), p)))
-
-
-def _feasible_subsets(normals, rhs, combos):
-    """The rows of ``combos`` (p-subsets of plane indices) whose planes meet in
-    one point of {y : lam.y >= rhs for all planes}, and those points."""
+def _feasible_subsets(normals, rhs, subsets):
+    """The p-tuples of plane indices in ``subsets`` whose planes meet in one
+    point of {y : lam.y >= rhs for all planes}, as rows, and those points, by
+    the gufuncs ``np.linalg.det`` and ``solve`` wrap."""
+    combos = np.fromiter(itertools.chain.from_iterable(subsets), np.int64)
+    combos = combos.reshape(-1, normals.shape[1])
     Ms = normals[combos]
-    good = np.abs(np.linalg.det(Ms)) > 1e-9
-    if not good.any():
-        return combos[:0], np.empty((0, normals.shape[1]))
+    good = abs(_umath_linalg.det(Ms, signature="d->d")) > 1e-9
     combos = combos[good]
-    verts = np.linalg.solve(Ms[good], rhs[combos][..., None])[..., 0]
-    feas = np.all(verts @ normals.T >= rhs[None, :] - 1e-6, axis=1)
+    verts = _umath_linalg.solve(Ms[good], rhs[combos][..., None], signature="dd->d")[..., 0]
+    feas = (verts @ normals.T >= rhs - 1e-6).all(axis=1)
     return combos[feas], verts[feas]
 
 
@@ -734,53 +730,53 @@ class _OuterRegion:
     then every recession direction of the region stays inside the new
     halfspace, so each new vertex lies on an edge (or ray) through a cut
     vertex, and the edges of a degenerate vertex lie in (p-1)-subsets of its
-    active planes, not only in the faces of its one stored subset.
+    active planes, not only in the faces of its one stored subset. Below p
+    planes there is no vertex, so all p-subsets are solved on reaching p.
+    ``normals`` and ``rhs`` view buffers that double when full.
     """
 
     def __init__(self, normals, rhs, p):
-        self.normals = np.asarray(normals, dtype=float)
-        self.rhs = np.asarray(rhs, dtype=float)
         self.p = p
-        if len(self.rhs) < p:
-            self.subsets = np.empty((0, p), dtype=np.int64)
-            self.points = np.empty((0, p))
-        else:
-            self.subsets, self.points = _feasible_subsets(
-                self.normals, self.rhs, _p_subsets(len(self.rhs), p))
+        self._normals, self._rhs = np.empty((16, p)), np.empty(16)
+        self.normals, self.rhs = self._normals[:0], self._rhs[:0]
+        self.add(list(zip(normals, rhs)))
 
     def vertices(self):
         """The distinct vertices, ordered and valued as intersecting every
-        p-subset of the same planes afresh gives them; the tests keep that
-        enumeration as the reference."""
+        p-subset of the same planes afresh gives them."""
         order = np.lexsort(self.subsets.T[::-1])
         return _distinct(self.points[order])
 
     def add(self, planes):
         """Append the planes lam.y >= r of ``planes`` [(lam, r)], in order."""
         h = len(self.rhs)
-        self.normals = np.vstack([self.normals] + [lam for lam, _ in planes])
-        self.rhs = np.append(self.rhs, [r for _, r in planes])
-        for a in range(h, len(self.rhs)):
-            self._cut(a)
+        n = h + len(planes)
+        if n > len(self._rhs):
+            self._normals = np.concatenate((self.normals, np.empty((n, self.p))))
+            self._rhs = np.concatenate((self.rhs, np.empty(n)))
+        for a, (lam, r) in enumerate(planes, h):
+            self._normals[a], self._rhs[a] = lam, r
+        self.normals, self.rhs = self._normals[:n], self._rhs[:n]
+        if h < self.p:
+            self.subsets, self.points = _feasible_subsets(
+                self.normals, self.rhs, itertools.combinations(range(n), self.p))
+        else:
+            for a in range(h, n):
+                self._cut(a)
 
     def _cut(self, a):
         """Update the rows for plane ``a``, given rows valid for planes < a."""
-        normals, rhs = self.normals[:a + 1], self.rhs[:a + 1]
-        cut = self.points @ normals[a] < rhs[a] - 1e-6
-        if not cut.any():
-            return
-        active = np.abs(self.points[cut] @ normals[:a].T - rhs[:a]) <= 1e-6
+        normals, rhs, points = self._normals[:a + 1], self._rhs[:a + 1], self.points
+        cut = points @ normals[a] < rhs[a] - 1e-6
+        active = abs(points[cut] @ normals[:a].T - rhs[:a]) <= 1e-6
         # each distinct active set once: many rows can share a degenerate vertex
         sets = {tuple(itertools.compress(range(a), row)) for row in active.tolist()}
         faces = {face + (a,) for s in sets
                  for face in itertools.combinations(s, self.p - 1)}
+        subsets, new = _feasible_subsets(normals, rhs, faces)
         keep = ~cut
-        self.subsets = self.subsets[keep]
-        self.points = self.points[keep]
-        if faces:
-            subsets, points = _feasible_subsets(normals, rhs, np.array(list(faces)))
-            self.subsets = np.concatenate([self.subsets, subsets])
-            self.points = np.concatenate([self.points, points])
+        self.subsets = np.concatenate((self.subsets[keep], subsets))
+        self.points = np.concatenate((points[keep], new))
 
 
 def _vertex_weights(verts, normals, rhs):
@@ -788,16 +784,14 @@ def _vertex_weights(verts, normals, rhs):
     and the normalized sum of the active normals. The sums add the active rows
     in plane order, starting from zero, as ``normals[active].sum(axis=0)``
     does, so each row equals ``_normalize`` of that sum bit for bit."""
-    active = np.abs(verts @ normals.T - rhs[None, :]) <= 1e-6
-    rows, planes = np.nonzero(active)
-    # ufunc.at adds unbuffered, one index after another: each vertex's
-    # active normals in plane order, from zero
-    sums = np.zeros_like(verts)
+    active = abs(verts @ normals.T - rhs) <= 1e-6
+    rows, planes = active.nonzero()
+    # ufunc.at adds unbuffered, one index after another
+    sums = np.zeros(verts.shape)
     np.add.at(sums, rows, normals[planes])
     has_active = active.any(axis=1)
-    lams = np.zeros_like(sums)
-    active_sums = sums[has_active]
-    lams[has_active] = active_sums / active_sums.sum(axis=1, keepdims=True)
+    lams = np.divide(sums, sums.sum(axis=1, keepdims=True), out=np.zeros(sums.shape),
+                     where=has_active[:, None])
     return has_active, lams
 
 
@@ -812,11 +806,9 @@ def _frontier_outer(sub: RelaxedSubproblem) -> LowerBoundSet:
     results = _solve_lps(sub, objs)
     if any(r.status == INFEASIBLE for r in results):
         raise InfeasibleSubproblem(inst.name)
-    hyperplanes, points, sols = [], [], []
-    for w, res in zip(weights, results[:len(weights)]):
-        hyperplanes.append((w, res.value))
-        points.append(inst.C @ res.x)
-        sols.append(res.x)
+    hyperplanes = [(w, res.value) for w, res in zip(weights, results)]
+    sols = [res.x for res in results[:len(weights)]]
+    points = [Cf @ x for x in sols]
     # valid axis facets from pure per-objective minima
     offsets = np.array([r.value for r in results[len(weights):]])
     points, sols = _dedupe_points(points, sols)
@@ -844,9 +836,9 @@ def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
     unrefined bound and only pay for refinement when the node survives.
     """
     inst = sub.instance
-    p = inst.p
-    if refine_max <= 0 or p == 2:
+    if refine_max <= 0 or inst.p == 2:
         return L
+    C = inst.C.astype(float)  # no cast per product
     hyperplanes = list(L.hyperplanes)
     points = list(L.extreme_points)
     sols = list(L.extreme_solutions)
@@ -854,17 +846,16 @@ def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
     solves = 0
     supported = set()
     plane_keys = {tuple(np.round(lam, 9)) for lam, _ in hyperplanes}
-    region = _OuterRegion([lam for lam, _ in hyperplanes],
-                          [r for _, r in hyperplanes], p)
+    region = _OuterRegion(*zip(*hyperplanes), inst.p)
     while True:
         verts = region.vertices()
         if not len(verts):
             break
         has_active, lams = _vertex_weights(verts, region.normals, region.rhs)
-        lam_keys = [tuple(k) for k in np.round(lams, 9).tolist()]
+        lam_keys = list(map(tuple, lams.round(9).tolist()))
         # plan the round in vertex order; a cached plane still counts as a solve
         plan = []
-        vert_keys = map(tuple, np.round(verts, 7).tolist())
+        vert_keys = map(tuple, verts.round(7).tolist())
         for i, (key, on) in enumerate(zip(vert_keys, has_active.tolist())):
             if key in supported or not on:
                 continue
@@ -879,7 +870,7 @@ def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
         for i, _ in plan:
             if lam_keys[i] not in cache:
                 todo.setdefault(lam_keys[i], i)
-        objs = [lams[i] @ inst.C for i in todo.values()]
+        objs = [lams[i] @ C for i in todo.values()]
         cache.update(zip(todo, _solve_lps(sub, objs)))
         pending = {}
         for i, key in plan:
@@ -894,9 +885,8 @@ def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
         new_planes = [(lam, res.value) for lam, res in pending.values()]
         hyperplanes.extend(new_planes)
         plane_keys.update(pending)
-        for lam, res in pending.values():
-            points.append(inst.C @ res.x)
-            sols.append(res.x)
+        sols.extend(res.x for _, res in pending.values())
+        points.extend(C @ res.x for _, res in pending.values())
         if solves >= refine_max:
             break
         region.add(new_planes)

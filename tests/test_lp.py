@@ -16,7 +16,7 @@ from mobb.lp import (_FACET_TOL, _FEAS_TOL, _LEX_CAP, _PIVOT_TOL, INFEASIBLE,
                      RelaxedSubproblem, _dedupe_points,
                      _distinct, _feasible_subsets, _greedy_knapsack_lp,
                      _greedy_knapsack_rows, _lexmin, _normalize, _OuterRegion,
-                     _p_subsets, _solve_lps, _Tableau, lower_bound_frontier,
+                     _solve_lps, _Tableau, lower_bound_frontier,
                      refine_frontier, solve_lp)
 from mobb.model import Instance, enumerate_nondominated
 
@@ -39,7 +39,7 @@ def _region_vertices(normals, rhs, p):
     h = len(rhs)
     if h < p:
         return np.empty((0, p))
-    return _distinct(_feasible_subsets(normals, rhs, _p_subsets(h, p))[1])
+    return _distinct(_feasible_subsets(normals, rhs, itertools.combinations(range(h), p))[1])
 
 
 def cover_instance():
@@ -1107,6 +1107,69 @@ class TestFrontierOuter:
                 assert float(lam @ y) >= rhs - 1e-7
 
 
+def _p_subsets(h, p):
+    """Every p-subset of range(h) as a row, in lexicographic order."""
+    return np.asarray(list(itertools.combinations(range(h), p)))
+
+
+def _feasible_subsets_reference(normals, rhs, combos):
+    """``_feasible_subsets`` through ``np.linalg.det`` and ``np.linalg.solve``."""
+    Ms = normals[combos]
+    good = np.abs(np.linalg.det(Ms)) > 1e-9
+    if not good.any():
+        return combos[:0], np.empty((0, normals.shape[1]))
+    combos = combos[good]
+    verts = np.linalg.solve(Ms[good], rhs[combos][..., None])[..., 0]
+    feas = np.all(verts @ normals.T >= rhs[None, :] - 1e-6, axis=1)
+    return combos[feas], verts[feas]
+
+
+class _OuterRegionReference:
+    """``_OuterRegion`` with ``np.vstack``/``np.append`` on every append and
+    the ``np.linalg`` wrappers: the reference the buffered kernel must equal
+    row for row and byte for byte. Below p planes it keeps no rows."""
+
+    def __init__(self, normals, rhs, p):
+        self.normals = np.asarray(normals, dtype=float)
+        self.rhs = np.asarray(rhs, dtype=float)
+        self.p = p
+        if len(self.rhs) < p:
+            self.subsets = np.empty((0, p), dtype=np.int64)
+            self.points = np.empty((0, p))
+        else:
+            self.subsets, self.points = _feasible_subsets_reference(
+                self.normals, self.rhs, _p_subsets(len(self.rhs), p))
+
+    def vertices(self):
+        order = np.lexsort(self.subsets.T[::-1])
+        return _distinct(self.points[order])
+
+    def add(self, planes):
+        h = len(self.rhs)
+        self.normals = np.vstack([self.normals] + [lam for lam, _ in planes])
+        self.rhs = np.append(self.rhs, [r for _, r in planes])
+        for a in range(h, len(self.rhs)):
+            self._cut(a)
+
+    def _cut(self, a):
+        normals, rhs = self.normals[:a + 1], self.rhs[:a + 1]
+        cut = self.points @ normals[a] < rhs[a] - 1e-6
+        if not cut.any():
+            return
+        active = np.abs(self.points[cut] @ normals[:a].T - rhs[:a]) <= 1e-6
+        sets = {tuple(itertools.compress(range(a), row)) for row in active.tolist()}
+        faces = {face + (a,) for s in sets
+                 for face in itertools.combinations(s, self.p - 1)}
+        keep = ~cut
+        self.subsets = self.subsets[keep]
+        self.points = self.points[keep]
+        if faces:
+            subsets, points = _feasible_subsets_reference(
+                normals, rhs, np.array(list(faces)))
+            self.subsets = np.concatenate([self.subsets, subsets])
+            self.points = np.concatenate([self.points, points])
+
+
 class TestRegionVertices:
     def test_simplex_corner(self):
         normals = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -1208,6 +1271,82 @@ class TestOuterRegion:
         region = _OuterRegion(normals, rhs, 3)
         assert np.array_equal(region.vertices(), _region_vertices(normals, rhs, 3))
         assert len(_OuterRegion(normals[:2], rhs[:2], 3).vertices()) == 0
+
+
+def _assert_same_rows(region, ref):
+    assert region.subsets.dtype == ref.subsets.dtype
+    assert region.subsets.tobytes() == ref.subsets.tobytes()
+    assert region.points.tobytes() == ref.points.tobytes()
+    assert region.normals.tobytes() == ref.normals.tobytes()
+    assert region.rhs.tobytes() == ref.rhs.tobytes()
+    assert region.vertices().tobytes() == ref.vertices().tobytes()
+
+
+def _normal_stacks(rng, p, k):
+    """k stacks of p normalized nonnegative normals; every third is nearly
+    singular, its last row a mix of the others moved by 1e-12 to 2e-6."""
+    Ms = rng.random((k, p, p)) + 1e-3
+    mix = rng.random((k, p - 1, 1))
+    eps = 10.0 ** -rng.integers(6, 13, k)
+    near = (Ms[:, :-1] * mix).sum(axis=1) + eps[:, None] * (1.0 + rng.random((k, p)))
+    Ms[::3, -1] = near[::3]
+    return Ms / Ms.sum(axis=2, keepdims=True)
+
+
+class TestOuterRegionKernel:
+    """The buffered kernel against ``_OuterRegionReference``, byte for byte."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 4))
+    def test_rows_equal_reference_after_every_add(self, seed, p):
+        rng = np.random.default_rng(seed)
+        normals, rhs = _unit_planes(p, rng)
+        region = _OuterRegion(normals, rhs, p)
+        ref = _OuterRegionReference(normals, rhs, p)
+        _assert_same_rows(region, ref)
+        for step in range(8):
+            if step % 3 == 2:
+                planes = _planes_through_one_point(region, rng, p + 1)
+            else:
+                planes = _refinement_planes(region, rng, int(rng.integers(1, 5)))
+            # a round's planes in one call, as refine_frontier appends them,
+            # or one call per plane
+            batches = [planes] if rng.integers(2) else [[plane] for plane in planes]
+            for batch in batches:
+                region.add(batch)
+                ref.add(batch)
+                _assert_same_rows(region, ref)
+
+    @pytest.mark.parametrize("p", [3, 4])
+    @pytest.mark.parametrize("start", [0, 1, 2])
+    def test_fewer_than_p_planes_then_appended(self, p, start):
+        # a region with no vertex yet enumerates its rows once it holds p
+        # planes, instead of splitting rows it never had
+        normals, rhs = _unit_planes(p, np.random.default_rng(start))
+        region = _OuterRegion(normals[:start], rhs[:start], p)
+        ref = _OuterRegionReference(normals[:start], rhs[:start], p)
+        for k in range(start, p + 1):
+            region.add([(normals[k], rhs[k])])
+            if k + 1 == p:     # the reference enumerates only in its constructor
+                ref = _OuterRegionReference(normals[:p], rhs[:p], p)
+            else:
+                ref.add([(normals[k], rhs[k])])
+            _assert_same_rows(region, ref)
+        assert np.array_equal(region.vertices(), _region_vertices(normals, rhs, p))
+        assert len(region.vertices()) > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 4), st.integers(1, 12))
+    def test_gufuncs_equal_linalg_wrappers(self, seed, p, k):
+        # the kernel calls numpy.linalg's gufuncs without their wrappers; the
+        # wrappers must add nothing but checks on these stacks
+        rng = np.random.default_rng(seed)
+        Ms = _normal_stacks(rng, p, k)
+        b = rng.uniform(-20.0, 0.0, (k, p, 1))
+        det = mobb.lp._umath_linalg.det(Ms, signature="d->d")
+        assert det.dtype == np.float64 and det.tobytes() == np.linalg.det(Ms).tobytes()
+        got = mobb.lp._umath_linalg.solve(Ms, b, signature="dd->d")
+        assert got.tobytes() == np.linalg.solve(Ms, b).tobytes()
 
 
 def _refine_from_scratch(sub, L, refine_max):

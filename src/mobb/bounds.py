@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FLOAT_TOL, ModelError, Solution
+from .model import FLOAT_TOL, ModelError, Solution, _distinct_rows
 
 
 @dataclass
@@ -168,7 +168,7 @@ def _maximal(points):
     """Componentwise-maximal, deduplicated subset of integer vectors (rows)."""
     if not len(points):
         return np.empty((0, 0), dtype=np.int64)
-    U = np.unique(np.asarray(points, dtype=np.int64).reshape(len(points), -1), axis=0)
+    U, _ = _distinct_rows(np.asarray(points, dtype=np.int64).reshape(len(points), -1))
     if len(U) <= 1:
         return U
     # after dedupe, u <= v for v != u implies u is strictly covered somewhere

@@ -199,6 +199,16 @@ def is_feasible(instance: Instance, x) -> bool:
     return True
 
 
+def _distinct_rows(Y):
+    """Distinct rows of an integer matrix in lex order, with the index of each
+    one's first occurrence (np.lexsort is stable)."""
+    order = np.lexsort(Y.T[::-1])
+    Y = Y[order]
+    new = np.ones(len(Y), dtype=bool)
+    new[1:] = (Y[1:] != Y[:-1]).any(axis=1)
+    return Y[new], order[new]
+
+
 def enumerate_nondominated(instance: Instance, fixings=None, cap: int = DEFAULT_ENUM_CAP):
     """Brute-force oracle: nondominated points over all feasible completions.
 
@@ -209,7 +219,7 @@ def enumerate_nondominated(instance: Instance, fixings=None, cap: int = DEFAULT_
     fixings = dict(fixings or {})
     n = instance.n
     for j, v in fixings.items():
-        if not 0 <= j < n or v not in (0, 1):
+        if not isinstance(j, (int, np.integer)) or not 0 <= j < n or v not in (0, 1):
             raise ModelError(f"bad fixing {j}:{v}")
     free = [j for j in range(n) if j not in fixings]
     nfree = len(free)
@@ -217,35 +227,34 @@ def enumerate_nondominated(instance: Instance, fixings=None, cap: int = DEFAULT_
         raise ModelError(f"{nfree} free variables exceed enumeration cap {cap}")
 
     A_le, b_le = instance.le_normalized()
-    base = np.zeros(n, dtype=np.int64)
-    for j, v in fixings.items():
-        base[j] = v
+    m = len(b_le)
+    M = np.concatenate([A_le, instance.C])
+    x0 = np.zeros(n, dtype=np.int64)
+    x0[list(fixings)] = list(fixings.values())
 
-    # Distinct images of each chunk with the first x that reaches them.
-    images, xs = [], []
-    chunk_bits = min(nfree, 16)
-    total = 1 << nfree
-    step = 1 << chunk_bits
-    # Bit i of the counter drives free[i]; counting order equals lex order on x,
-    # so np.unique's first index of an image is its lex-smallest x, within a
-    # chunk and, chunks being stacked in order, across them.
-    shifts = np.array([nfree - 1 - i for i in range(nfree)], dtype=np.uint64)
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.uint64)
-        bits = (idx[:, None] >> shifts[None, :]) & 1
-        X = np.tile(base, (len(idx), 1))
-        if nfree:
-            X[:, free] = bits.astype(np.int64)
-        feas = np.all(X @ A_le.T <= b_le, axis=1)
-        Xf = X[feas]
-        if len(Xf):
-            Y, first = np.unique(Xf @ instance.C.T, axis=0, return_index=True)
+    # Bit i of the counter t drives free[-1 - i], so counting order is lex
+    # order on x. A chunk adds M @ x0 (fixings, high bits) to the table S[t] =
+    # M[:, free[high:]] @ bits(t), built by doubling (Horowitz & Sahni 1974).
+    # Subset sums of M's rows stay below 2**62, so int64 is exact, b_le - off too.
+    high = max(nfree - 16, 0)
+    S = np.zeros((1, len(M)), dtype=np.int64)
+    for j in reversed(free[high:]):
+        S = np.concatenate([S, S + M[:, j]])
+    images, counters = [], []
+    for c in range(1 << high):
+        x0[free[:high]] = (c >> np.arange(high - 1, -1, -1)) & 1
+        off = M @ x0
+        feas = np.flatnonzero((S[:, :m] <= b_le - off[:m]).all(axis=1))
+        if len(feas):
+            Y, first = _distinct_rows(S[feas, m:] + off[m:])
             images.append(Y)
-            xs.append(Xf[first])
+            counters.append((c << (nfree - high)) + feas[first])
     if not images:
         return []
-    Y, first = np.unique(np.concatenate(images), axis=0, return_index=True)
-    X = np.concatenate(xs)[first]
+    Y, t = images[0], counters[0]
+    if len(images) > 1:  # chunks are in counter order: first is lex-smallest
+        Y, first = _distinct_rows(np.concatenate(images))
+        t = np.concatenate(counters)[first]
 
     # Lexicographic skyline (Kung, Luccio & Preparata 1975): in lex order a
     # point can only be weakly dominated by an earlier one, so the first row
@@ -255,7 +264,8 @@ def enumerate_nondominated(instance: Instance, fixings=None, cap: int = DEFAULT_
     while len(rest):
         i, rest = rest[0], rest[1:]
         front.append(i)
-        rest = rest[np.any(Y[rest] < Y[i], axis=1)]
-    return [Solution(x=tuple(X[i].tolist()), image=tuple(Y[i].tolist()))
-            for i in front]
-
+        rest = rest[(Y[rest] < Y[i]).any(axis=1)]
+    X = x0[None].repeat(len(front), axis=0)
+    X[:, free] = (t[front, None] >> np.arange(nfree - 1, -1, -1)) & 1
+    return [Solution(x=tuple(x), image=tuple(y))
+            for x, y in zip(X.tolist(), Y[front].tolist())]

@@ -208,6 +208,21 @@ class TestLocalUpperBoundSet:
             K.update(z)
         assert K.as_tuples() == brute_force_lubs(nd, p, M)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 40))
+    def test_maximal_matches_unique_form(self, seed, p, k):
+        # the lub order that gap_argmax_lub breaks ties on is np.unique's
+        # row order; a small pool of values, extremes included, repeats rows
+        rng = np.random.default_rng(seed)
+        pool = np.array([-2**63, -2**40, -3, -1, 0, 1, 2, 2**40, 2**63 - 1])
+        rows = rng.choice(pool, (k, p))
+        U = np.unique(rows, axis=0)
+        if len(U) > 1:
+            U = U[np.all(U[:, None, :] <= U[None, :, :], axis=2).sum(axis=1) == 1]
+        got = _maximal(rows)
+        assert got.dtype == U.dtype and got.shape == U.shape
+        assert got.tobytes() == U.tobytes()
+
 
 class TestStrictlyAbove:
     def test_below_single_hyperplane(self):

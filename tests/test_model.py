@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobb.model import (DEFAULT_ENUM_CAP, Dominance, Instance, ModelError,
@@ -174,8 +174,10 @@ class TestEnumerateNondominated:
             enumerate_nondominated(inst, cap=25)
 
     def test_bad_fixing_rejected(self):
-        with pytest.raises(ModelError):
-            enumerate_nondominated(tiny_kp(), {0: 2})
+        # a key that is not an integer is rejected even where it equals one
+        for fixings in ({0: 2}, {2: 0}, {-1: 1}, {1.5: 1}, {1.0: 1}, {"1": 1}):
+            with pytest.raises(ModelError):
+                enumerate_nondominated(tiny_kp(), fixings)
 
     def test_equal_images_keep_lex_smallest_x(self):
         inst = Instance(C=[[0, 0], [0, 0]], A=[[1, 1]], b=[2], senses=("le",))
@@ -214,16 +216,22 @@ class TestEnumerateNondominated:
         assert sols == _enumerate_scalar(inst)
 
     @staticmethod
-    def _check_against_scalar(seed, p, nfree, nfix, senses):
+    def _check_against_scalar(seed, p, nfree, nfix, senses, big=False):
         # eq rows and negative right-hand sides give infeasible instances
         n = nfree + nfix
         rng = np.random.default_rng(seed)
         m = len(senses)
-        inst = Instance(C=rng.integers(-3, 4, (p, n)),
-                        A=rng.integers(-2, 6, (m, n)),
-                        b=rng.integers(-2, 2 * n + 1, m), senses=tuple(senses))
+        C = rng.integers(-3, 4, (p, n))
+        A = rng.integers(-2, 6, (m, n))
+        b = rng.integers(-2, 2 * n + 1, m)
         fixed = rng.permutation(n)[:nfix]
         fixings = {int(j): int(rng.integers(0, 2)) for j in fixed}
+        if big:
+            # entries of about 2**57.4 (n <= 22 keeps row sums below 2**62):
+            # sums above 2**53, which float64 rounds, so only exact int64 passes
+            for a in (C, A, b):
+                a += (2**62 // 24) * rng.integers(-1, 2, a.shape)
+        inst = Instance(C=C, A=A, b=b, senses=tuple(senses))
         got = enumerate_nondominated(inst, fixings)
         assert got == _enumerate_scalar(inst, fixings)
         for s in got:
@@ -232,15 +240,26 @@ class TestEnumerateNondominated:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 12),
            st.integers(0, 6),
-           st.lists(st.sampled_from(("le", "ge", "eq")), min_size=1, max_size=3))
-    def test_matches_scalar_reference(self, seed, p, nfree, nfix, senses):
+           st.lists(st.sampled_from(("le", "ge", "eq")), min_size=1, max_size=3),
+           st.booleans())
+    # terminal enumeration's shape: 10 free variables, 8 to 12 fixings
+    @example(1, 2, 10, 8, ["le"], False)
+    @example(2, 3, 10, 10, ["le", "ge"], False)
+    @example(3, 2, 10, 12, ["eq", "le"], True)
+    # a leaf's: no free variable
+    @example(4, 3, 0, 6, ["le", "eq"], False)
+    @example(5, 2, 12, 6, ["le"], True)
+    def test_matches_scalar_reference(self, seed, p, nfree, nfix, senses, big):
         # at least one variable
-        self._check_against_scalar(seed, p, nfree, max(nfix, 1 - nfree), senses)
+        self._check_against_scalar(seed, p, nfree, max(nfix, 1 - nfree), senses,
+                                   big)
 
     @settings(max_examples=5, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(17, 18),
            st.integers(0, 1),
            st.lists(st.sampled_from(("le", "ge", "eq")), min_size=1, max_size=3))
+    # 16 free variables fill exactly one chunk
+    @example(6, 3, 16, 1, ["le", "ge"])
     def test_matches_scalar_reference_across_chunks(self, seed, p, nfree, nfix,
                                                     senses):
         # 17 or 18 free variables span two or four 2**16-row chunks; n <= 18

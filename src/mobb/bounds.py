@@ -18,36 +18,26 @@ class LowerBoundSet:
     ``hyperplanes`` is a list of (lambda, rhs) pairs with lambda >= 0, each a
     valid inequality lambda . y >= rhs for every feasible image of the
     subproblem. ``facet_offsets`` are valid componentwise lower bounds (the
-    axis-parallel extreme facets). A simple bound carries one level-set
-    hyperplane plus the facets inherited from its parent node, and no extreme
-    points.
+    axis-parallel extreme facets), so they are also the bound's local ideal
+    point. A simple bound carries one level-set hyperplane plus the facets
+    inherited from its parent node, and no extreme points.
     """
 
     hyperplanes: list            # [(np.ndarray lam, float rhs)]
+    facet_offsets: np.ndarray    # float p-vector
     extreme_points: list = field(default_factory=list)     # np.ndarray images
     extreme_solutions: list = field(default_factory=list)  # aligned full x vectors
-    facet_offsets: np.ndarray = None                       # p-vector or None
 
     @functools.cached_property
     def plane_matrix(self):
         """The hyperplanes plus the axis facets, stacked: (normals of shape
-        (h, p), rhs of shape (h,)). Built on first use: a bound set does not
-        change once built."""
+        (h + p, p), rhs of shape (h + p,)). Built on first use: a bound set
+        does not change once built."""
         normals = [lam for lam, _ in self.hyperplanes]
         rhs = [r for _, r in self.hyperplanes]
-        if self.facet_offsets is not None:
-            normals.extend(np.eye(len(self.facet_offsets)))
-            rhs.extend(map(float, self.facet_offsets))
+        normals.extend(np.eye(len(self.facet_offsets)))
+        rhs.extend(map(float, self.facet_offsets))
         return np.asarray(normals, dtype=float), np.asarray(rhs, dtype=float)
-
-
-def local_ideal(L: LowerBoundSet) -> np.ndarray:
-    """Componentwise minimum of the lower bound set."""
-    if L.facet_offsets is not None:
-        return np.asarray(L.facet_offsets, dtype=float)
-    if not L.extreme_points:
-        raise ModelError("lower bound set has no extreme points and no facets")
-    return np.min(np.asarray(L.extreme_points, dtype=float), axis=0)
 
 
 def surviving_mask(L: LowerBoundSet, U) -> np.ndarray:
@@ -56,8 +46,6 @@ def surviving_mask(L: LowerBoundSet, U) -> np.ndarray:
     if U.size == 0:
         return np.zeros(len(U), dtype=bool)
     normals, rhs = L.plane_matrix
-    if len(rhs) == 0:
-        return np.ones(len(U), dtype=bool)
     return (U @ normals.T > rhs[None, :] + FLOAT_TOL).all(axis=1)
 
 
@@ -70,7 +58,7 @@ def gap_values(L: LowerBoundSet, surviving, measure: str) -> np.ndarray:
     U = np.asarray(surviving, dtype=float)
     if not len(U):
         return np.zeros(0)
-    ideal = local_ideal(L)
+    ideal = L.facet_offsets
     if measure == MEASURE_HSZ:
         return np.prod(np.maximum(U - ideal[None, :], 0.0), axis=1)
     if measure != MEASURE_LHG:
@@ -78,14 +66,13 @@ def gap_values(L: LowerBoundSet, surviving, measure: str) -> np.ndarray:
     p = U.shape[1]
     t = U - ideal[None, :]
     normals, rhs = L.plane_matrix
-    if len(rhs):
-        proj = U @ normals.T - rhs[None, :]
-        for i in range(p):
-            col = normals[:, i]
-            mask = col > 1e-12
-            if mask.any():
-                t[:, i] = np.minimum(t[:, i],
-                                     np.min(proj[:, mask] / col[mask][None, :], axis=1))
+    proj = U @ normals.T - rhs[None, :]
+    for i in range(p):
+        col = normals[:, i]
+        mask = col > 1e-12
+        if mask.any():
+            t[:, i] = np.minimum(t[:, i],
+                                 np.min(proj[:, mask] / col[mask][None, :], axis=1))
     return np.prod(np.maximum(t, 0.0), axis=1) / math.factorial(p)
 
 

@@ -76,7 +76,6 @@ def solve_single_objective(sub: RelaxedSubproblem, c, time_limit: float = math.i
         seq += 1
 
     push(sub, root)
-    global_bound = root.value
     expanded = 0
     while heap:
         bound, _, node_sub, j = heap[0]
@@ -96,7 +95,6 @@ def solve_single_objective(sub: RelaxedSubproblem, c, time_limit: float = math.i
             if res.status == OPTIMAL and res.value < best_val - 1e-9:
                 push(child, res)
     if heap:
-        global_bound = min(global_bound, heap[0][0])
         if best_x is not None:
             return ScalarResult(status=STATUS_FEASIBLE_TIMEOUT, solution=best_x,
                                 value=best_val, bound=global_bound)
@@ -143,9 +141,7 @@ def solve_econstraint(sub: RelaxedSubproblem, k: int, eps, time_limit: float = m
     deadline = time.monotonic() + time_limit
     stage1 = RelaxedSubproblem(inst, dict(sub.fixings), sub.cut_rows + caps)
     res1 = solve_single_objective(stage1, inst.C[k].astype(float), time_limit)
-    if res1.status == STATUS_INFEASIBLE:
-        return res1, 1
-    if res1.status == STATUS_NO_SOLUTION_TIMEOUT:
+    if res1.status in (STATUS_INFEASIBLE, STATUS_NO_SOLUTION_TIMEOUT):
         return res1, 1
     cap = res1.value
     stage2 = RelaxedSubproblem(inst, dict(stage1.fixings), stage1.cut_rows

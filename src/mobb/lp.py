@@ -26,10 +26,6 @@ _FACET_TOL = 1e-7     # a refinement plane must cut a vertex off by more than th
 _KEEP_TOL = 1e-9      # a parent's point is kept when its x_j is this close to v
 
 
-class InfeasibleSubproblem(Exception):
-    """The relaxation of a subproblem admits no solution."""
-
-
 @dataclass(frozen=True)
 class LpResult:
     status: str
@@ -286,6 +282,9 @@ class RelaxedSubproblem:
         # (column, value): a fixing the next simplex solve substitutes into a
         # copy of ``tableau``, which is then still the parent's; or None
         self.pending = None
+        # p = 2: the parent's extreme points this child's fixing keeps, which
+        # ``_frontier_2d`` starts from (set by ``branch``); or None
+        self.kept = None
 
     def full_x(self, y) -> np.ndarray:
         """The n-vector with ``y`` on the columns and every fixing exact."""
@@ -311,40 +310,43 @@ class RelaxedSubproblem:
         extended._settle(self.tableau.with_row(a, float(rhs)))
         return extended
 
-    def keeps_rows(self, rows) -> bool:
-        """Whether ``rows`` are exactly this subproblem's cut rows, the same
-        objects in the same order: then a child with them has a relaxation
-        inside this one's."""
-        return (len(rows) == len(self.cut_rows)
-                and all(map(operator.is_, rows, self.cut_rows)))
-
-    def branch(self, j: int, v: int, cut_rows=None) -> "RelaxedSubproblem":
+    def branch(self, j: int, v: int, cut_rows=None, bound=None) -> "RelaxedSubproblem":
         """The child with x_j fixed to v and ``cut_rows`` (by default this
         subproblem's) as its cut rows.
 
+        Only a child that keeps exactly this subproblem's cut rows, the same
+        objects in the same order, has a relaxation inside this one's and
+        inherits: at p = 2, as ``kept``, the extreme points of ``bound``
+        (this subproblem's bound set) that its fixing keeps, and the tableau.
         This subproblem first substitutes its own pending fixing. Then, when
-        it has a simplex tableau, is not a knapsack and the child keeps
-        exactly its cut rows, the child's first solve starts from a copy of
-        that tableau as it then stands: x_j leaves the basis if it is basic
-        (``_Tableau.fixed``), moves to v and its column is deleted, and a dual
-        simplex restores feasibility. Until then the child shares the tableau,
-        not this subproblem. Otherwise the child is built afresh.
+        it has a simplex tableau and is not a knapsack, the child's first
+        solve starts from a copy of that tableau as it then stands: x_j
+        leaves the basis if it is basic (``_Tableau.fixed``), moves to v and
+        its column is deleted, and a dual simplex restores feasibility. Until
+        then the child shares the tableau, not this subproblem. Otherwise the
+        child is built afresh.
         """
         self.apply_pending()
         fixings = {**self.fixings, j: v}
         rows = self.cut_rows if cut_rows is None else cut_rows
-        if self.tableau is None or self.knapsack or not self.keeps_rows(rows):
-            return RelaxedSubproblem(self.instance, fixings, list(rows))
-        c = int(self.cols.searchsorted(j))
-        pos = int(self.fixed_idx.searchsorted(j))
-        # Af and bf stay an ancestor's: only phase 1 and the greedy read them
-        child = copy.copy(self)
-        child.fixings = fixings
-        child.cut_rows = list(self.cut_rows)
-        child.cols = np.concatenate((self.cols[:c], self.cols[c + 1:]))
-        child.fixed_idx = np.concatenate((self.fixed_idx[:pos], [j], self.fixed_idx[pos:]))
-        child.xf = np.concatenate((self.xf[:pos], [float(v)], self.xf[pos:]))
-        child.pending = (c, float(v))
+        inside = (len(rows) == len(self.cut_rows)
+                  and all(map(operator.is_, rows, self.cut_rows)))
+        if self.tableau is None or self.knapsack or not inside:
+            child = RelaxedSubproblem(self.instance, fixings, list(rows))
+        else:
+            c = int(self.cols.searchsorted(j))
+            pos = int(self.fixed_idx.searchsorted(j))
+            # Af and bf stay an ancestor's: only phase 1 and the greedy read them
+            child = copy.copy(self)
+            child.fixings = fixings
+            child.cut_rows = list(self.cut_rows)
+            child.cols = np.concatenate((self.cols[:c], self.cols[c + 1:]))
+            child.fixed_idx = np.concatenate((self.fixed_idx[:pos], [j], self.fixed_idx[pos:]))
+            child.xf = np.concatenate((self.xf[:pos], [float(v)], self.xf[pos:]))
+            child.pending = (c, float(v))
+        # a warm child's copy would otherwise carry this subproblem's
+        child.kept = (KeptPoints.of(bound, j, v) if inside and bound is not None
+                      and self.instance.p == 2 else None)
         return child
 
     def apply_pending(self):
@@ -545,10 +547,10 @@ class KeptPoints:
     fixing x_j = v keeps (|x_j - v| <= _KEEP_TOL), in the parent's sorted
     order, with their positions there, the parent's number of extreme points
     and its facet offsets: what ``_frontier_2d`` seeds the child's bound with.
-    A queued child holds them, so they are small: their images are not kept,
-    since C x gives them again bit for bit, and each solution is a copy of
-    its bytes, which sits with the other small objects and not among the
-    tableaus in the heap (``np.frombuffer`` reads it back)."""
+    A queued child's subproblem holds them, so they are small: their images
+    are not kept, since C x gives them again bit for bit, and each solution
+    is a copy of its bytes, which sits with the other small objects and not
+    among the tableaus in the heap (``np.frombuffer`` reads it back)."""
 
     index: list
     solutions: list     # bytes of float64 n-vectors
@@ -610,28 +612,30 @@ def _place_lexmin(known, y, x, first: bool):
         known.insert(0 if first else len(known), [None, y, x])
 
 
-def _frontier_2d(sub: RelaxedSubproblem, kept: KeptPoints = None) -> LowerBoundSet:
-    """All extreme supported points of a biobjective relaxation, dichotomically.
+def _frontier_2d(sub: RelaxedSubproblem) -> LowerBoundSet:
+    """All extreme supported points of a biobjective relaxation, dichotomically,
+    or None when the relaxation is empty.
 
     The search starts from the known points: the two lexicographic minima
-    and the ``kept`` points of the parent's bound, if any. A child's
+    and the points ``sub.kept`` holds of the parent's bound, if any. A child's
     relaxation is its parent's with x_j = v, so a kept point is an extreme
     supported point of the child as well, and every plane of the parent is
     valid in the child. A kept first or last point is the child's
     lexicographic minimum, and the parent's facet offset stands for it, so
     its ``_lexmin`` is skipped. Two kept points that were adjacent in the
     parent bound a facet, whose plane needs no LP. The weighted sums are
-    solved only between the other consecutive known points. Without ``kept``
-    every point and plane is found afresh.
+    solved only between the other consecutive known points. Without kept
+    points every point and plane is found afresh.
     """
     inst = sub.instance
+    kept = sub.kept
     known, facets = [], []
     if kept is not None:
         # as the child's first LP would, even when it solves none: then it
         # drops its parent's tableau, and its own children start warm
         sub.apply_pending()
         if sub.infeasible:
-            raise InfeasibleSubproblem(inst.name)
+            return None
         known = [[i, inst.C @ x, x] for i, x in
                  zip(kept.index, map(np.frombuffer, kept.solutions))]
         for (i, ya, _), (k, yb, _) in zip(known, known[1:]):
@@ -643,7 +647,7 @@ def _frontier_2d(sub: RelaxedSubproblem, kept: KeptPoints = None) -> LowerBoundS
     else:
         left = _lexmin(sub, 0, 1)
         if left is None:
-            raise InfeasibleSubproblem(inst.name)
+            return None
         v1 = left[0]
         _place_lexmin(known, *left[1:], first=True)
     if kept is not None and known[-1][0] == kept.count - 1:
@@ -651,7 +655,7 @@ def _frontier_2d(sub: RelaxedSubproblem, kept: KeptPoints = None) -> LowerBoundS
     else:
         right = _lexmin(sub, 1, 0)
         if right is None:
-            raise InfeasibleSubproblem(inst.name)
+            return None
         v2 = right[0]
         _place_lexmin(known, *right[1:], first=False)
     hyperplanes = [(np.array([1.0, 0.0]), v1), (np.array([0.0, 1.0]), v2)] + facets
@@ -798,14 +802,15 @@ def _vertex_weights(verts, normals, rhs):
 def _frontier_outer(sub: RelaxedSubproblem) -> LowerBoundSet:
     """Initial outer approximation of the frontier for p >= 3 objectives:
     planes for the augmented unit weights plus the all-ones weight, and the
-    per-objective minima as axis facets. ``refine_frontier`` tightens it."""
+    per-objective minima as axis facets, or None when the relaxation is
+    empty. ``refine_frontier`` tightens it."""
     inst = sub.instance
     weights = augmented_unit_weights(inst.p)
     Cf = inst.C.astype(float)
     objs = np.vstack([np.asarray(weights) @ Cf, Cf])
     results = _solve_lps(sub, objs)
     if any(r.status == INFEASIBLE for r in results):
-        raise InfeasibleSubproblem(inst.name)
+        return None
     hyperplanes = [(w, res.value) for w, res in zip(weights, results)]
     sols = [res.x for res in results[:len(weights)]]
     points = [Cf @ x for x in sols]
@@ -896,15 +901,10 @@ def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
                          facet_offsets=L.facet_offsets)
 
 
-def lower_bound_frontier(sub: RelaxedSubproblem,
-                         kept: KeptPoints = None) -> LowerBoundSet:
+def lower_bound_frontier(sub: RelaxedSubproblem) -> LowerBoundSet:
     """Full lower bound set of a subproblem's linear relaxation: exact for
     p == 2, an unrefined outer approximation for p >= 3 (see
-    ``refine_frontier``). ``kept``, for p == 2 only, are the parent's extreme
-    points that this child's fixing keeps; ``_frontier_2d`` starts from them.
-
-    Raises InfeasibleSubproblem when the relaxation is empty.
-    """
+    ``refine_frontier``); None when the relaxation is empty."""
     if sub.instance.p == 2:
-        return _frontier_2d(sub, kept)
+        return _frontier_2d(sub)
     return _frontier_outer(sub)

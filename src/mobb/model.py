@@ -61,9 +61,10 @@ class Instance:
             if s not in _SENSES:
                 raise ModelError(f"unknown sense {s!r}")
         # absolute row sums below 2**62 keep C x, A x and the big-M derived
-        # from C inside int64; summed as floats, since abs(-2**63) wraps
+        # from C inside int64; summed exactly as Python ints, since
+        # abs(-2**63) wraps in int64 and float64 sums round
         for name, rows in (("C", C), ("A", A), ("b", b[:, None])):
-            if np.abs(rows.astype(float)).sum(axis=1).max() >= 2.0 ** 62:
+            if max(sum(map(abs, row)) for row in rows.tolist()) >= 2 ** 62:
                 raise ModelError(f"'{name}': coefficients too large "
                                  "(an absolute row sum reaches 2**62)")
         object.__setattr__(self, "C", C)
@@ -184,19 +185,12 @@ def weakly_dominates(y1, y2) -> bool:
 
 
 def is_feasible(instance: Instance, x) -> bool:
-    """Check every constraint row with its sense for a binary vector."""
+    """Check every constraint row, in its <= form, for a binary vector."""
     x = np.asarray(x, dtype=np.int64)
     if x.shape != (instance.n,):
         raise ModelError(f"x has shape {x.shape}, expected ({instance.n},)")
-    lhs = instance.A @ x
-    for i, s in enumerate(instance.senses):
-        if s == SENSE_LE and lhs[i] > instance.b[i]:
-            return False
-        if s == SENSE_GE and lhs[i] < instance.b[i]:
-            return False
-        if s == SENSE_EQ and lhs[i] != instance.b[i]:
-            return False
-    return True
+    A_le, b_le = instance.le_normalized()
+    return bool((A_le @ x <= b_le).all())
 
 
 def _distinct_rows(Y):

@@ -18,11 +18,11 @@ import numpy as np
 
 from .bounds import (IncumbentList, LocalUpperBoundSet, LowerBoundSet,
                      MEASURE_HSZ, MEASURE_LHG, default_big_m, gap_argmax_lub,
-                     gap_values, local_ideal, surviving_mask)
+                     gap_values, surviving_mask)
 from .ipsolve import (STATUS_INFEASIBLE, STATUS_NO_SOLUTION_TIMEOUT,
                       STATUS_OPTIMAL, solve_econstraint, solve_weighted_sum_ip)
-from .lp import (InfeasibleSubproblem, KeptPoints, RelaxedSubproblem,
-                 augmented_unit_weights, lower_bound_frontier, refine_frontier)
+from .lp import (RelaxedSubproblem, augmented_unit_weights,
+                 lower_bound_frontier, refine_frontier)
 from .model import (DEFAULT_ENUM_CAP, Instance, ModelError, Solution,
                     enumerate_nondominated, is_feasible)
 
@@ -92,8 +92,6 @@ class Node:
     gap: float                       # frozen gap inherited from the parent
     parent_facet_offsets: np.ndarray = None
     parent_surviving_lubs: list = None   # held for SLB's weight only
-    # p = 2: the parent's extreme points this node's fixing keeps
-    kept: KeptPoints = None
 
 
 @dataclass
@@ -302,8 +300,8 @@ class Solver:
                 cuts = cuts + [cut]
                 self.stats.cut_log.append((dict(sub.fixings), cut[0], cut[1]))
         # SLB runs at depth >= slb_level >= 1, so the node has a parent
-        return LowerBoundSet(hyperplanes=hyperplanes, facet_offsets=np.asarray(
-            node.parent_facet_offsets, dtype=float)), cuts
+        return LowerBoundSet(hyperplanes=hyperplanes,
+                             facet_offsets=node.parent_facet_offsets), cuts
 
     # -- node processing ---------------------------------------------------
 
@@ -358,13 +356,10 @@ class Solver:
         cuts = sub.cut_rows
         if use_slb:
             L, cuts = self.simple_lower_bound(node)
-            if L is None:
-                return "infeasibility", True, False
         else:
-            try:
-                L = lower_bound_frontier(sub, node.kept)
-            except InfeasibleSubproblem:
-                return "infeasibility", False, False
+            L = lower_bound_frontier(sub)
+        if L is None:
+            return "infeasibility", use_slb, False
 
         n = inst.n
         ec = (cfg.ec_enabled and iteration % n == 0
@@ -385,18 +380,13 @@ class Solver:
                if cfg.dynamic else 0.0)
         cuts = prune_redundant_cuts(cuts, L)
         j = choose_branch_variable(inst, L, free, cfg)
-        offsets = local_ideal(L)
-        # a child that keeps the node's cut rows has a relaxation inside the
-        # node's: it starts from the node's tableau as the bound left it (see
-        # RelaxedSubproblem.branch) and, at p = 2, from the node's extreme
-        # points that its fixing keeps
-        inherit = inst.p == 2 and not use_slb and sub.keeps_rows(cuts)
+        # RelaxedSubproblem.branch decides what each child inherits from the
+        # node: its tableau and, at p = 2, the points of L its fixing keeps
         for v in (0, 1):
-            queue.push(Node(sub=sub.branch(j, v, cuts), gap=gap,
-                            parent_facet_offsets=offsets,
+            queue.push(Node(sub=sub.branch(j, v, cuts, L), gap=gap,
+                            parent_facet_offsets=L.facet_offsets,
                             parent_surviving_lubs=(surviving.copy()
-                                                   if cfg.slb_enabled else None),
-                            kept=KeptPoints.of(L, j, v) if inherit else None))
+                                                   if cfg.slb_enabled else None)))
         return "branched", use_slb, ec
 
     # -- main loop ---------------------------------------------------------

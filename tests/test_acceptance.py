@@ -14,13 +14,11 @@ import time
 import numpy as np
 import pytest
 
-from mobb.bounds import (LocalUpperBoundSet, LowerBoundSet, gap_values,
-                         local_ideal)
+from mobb.bounds import LocalUpperBoundSet, LowerBoundSet, gap_values
 from mobb.cli import (APPROACHES, BENCH_HEADER, PROFILE_HEADER,
                       approach_config, main)
 from mobb.instances import GeneratorSpec, generate, write_instance
-from mobb.lp import InfeasibleSubproblem, RelaxedSubproblem, \
-    lower_bound_frontier, solve_lp
+from mobb.lp import RelaxedSubproblem, lower_bound_frontier, solve_lp
 from mobb.model import Instance, enumerate_nondominated, weakly_dominates
 from mobb.solver import SolverConfig, solve
 from test_bounds import hv_box_gap, hv_simplex_gap, spanning_points
@@ -102,7 +100,7 @@ class TestAcceptance:
                                 np.array([3.0, 2.0]), np.array([8.0, 0.5])],
                 facet_offsets=np.array([1.0, 0.5]))
             lu1 = np.array([6.0, 9.0])
-            hb = hv_box_gap(lu1, local_ideal(L))
+            hb = hv_box_gap(lu1, L.facet_offsets)
             assert abs(hb - 42.5) <= 1e-9
             hg = hv_simplex_gap(lu1, spanning_points(L, lu1))
             assert abs(hg - 53.5 * 7.9 / 22.0) <= 1e-9
@@ -164,9 +162,8 @@ class TestAcceptance:
                                 b=rng.integers(1, 8 * n, 2),
                                 senses=("le", "le"))
                 sub = RelaxedSubproblem(inst)
-                try:
-                    L = lower_bound_frontier(sub)
-                except InfeasibleSubproblem:
+                L = lower_bound_frontier(sub)
+                if L is None:
                     continue
                 checked += 1
                 pts = L.extreme_points

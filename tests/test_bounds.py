@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from mobb.bounds import (IncumbentList, LocalUpperBoundSet, LowerBoundSet,
                          MEASURE_HSZ, MEASURE_LHG, _maximal, default_big_m,
-                         gap_argmax_lub, gap_values, local_ideal,
-                         surviving_mask)
+                         gap_argmax_lub, gap_values, surviving_mask)
 from mobb.model import FLOAT_TOL, Solution
 
 # Scalar oracles for the batched surviving_mask and gap_values: one local
@@ -21,12 +20,11 @@ from mobb.model import FLOAT_TOL, Solution
 def all_planes(L: LowerBoundSet) -> list:
     """The hyperplanes plus the axis facets, as (lam, rhs) pairs."""
     planes = list(L.hyperplanes)
-    if L.facet_offsets is not None:
-        p = len(L.facet_offsets)
-        for k in range(p):
-            e = np.zeros(p)
-            e[k] = 1.0
-            planes.append((e, float(L.facet_offsets[k])))
+    p = len(L.facet_offsets)
+    for k in range(p):
+        e = np.zeros(p)
+        e[k] = 1.0
+        planes.append((e, float(L.facet_offsets[k])))
     return planes
 
 
@@ -44,11 +42,12 @@ def spanning_points(L: LowerBoundSet, lu) -> list:
 
     The i-th spanning point moves from lu along -e_i until the boundary of
     L + R^p_>= is hit; the remaining coordinates stay pinned at lu. If the ray
-    misses every facet the coordinate is clamped at the local ideal.
+    misses every facet the coordinate is clamped at the local ideal, the
+    facet offsets.
     """
     lu = np.asarray(lu, dtype=float)
     p = len(lu)
-    ideal = local_ideal(L)
+    ideal = L.facet_offsets
     planes = all_planes(L)
     points = []
     for i in range(p):
@@ -101,6 +100,13 @@ def polyline_bound():
         extreme_points=[np.array([1.0, 10.5]), np.array([1.5, 5.0]),
                         np.array([3.0, 2.0]), np.array([8.0, 0.5])],
         facet_offsets=np.array([1.0, 0.5]))
+
+
+def single_plane_bound():
+    """The plane y_1 + y_2 >= 10, with axis facets at 0 that no test point
+    comes near."""
+    return LowerBoundSet(hyperplanes=[(np.array([1.0, 1.0]), 10.0)],
+                         facet_offsets=np.zeros(2))
 
 
 def sol(image, x=(0,)):
@@ -226,15 +232,15 @@ class TestLocalUpperBoundSet:
 
 class TestStrictlyAbove:
     def test_below_single_hyperplane(self):
-        L = LowerBoundSet(hyperplanes=[(np.array([1.0, 1.0]), 10.0)])
+        L = single_plane_bound()
         assert not is_strictly_above(L, (4, 5))
 
     def test_above_single_hyperplane(self):
-        L = LowerBoundSet(hyperplanes=[(np.array([1.0, 1.0]), 10.0)])
+        L = single_plane_bound()
         assert is_strictly_above(L, (6, 6))
 
     def test_boundary_point_not_strict(self):
-        L = LowerBoundSet(hyperplanes=[(np.array([1.0, 1.0]), 10.0)])
+        L = single_plane_bound()
         assert not is_strictly_above(L, (4, 6))
 
     def test_axis_facets_participate(self):
@@ -250,13 +256,13 @@ class TestStrictlyAbove:
 
 class TestDominanceFathom:
     def test_fathom_when_all_lubs_below(self):
-        L = LowerBoundSet(hyperplanes=[(np.array([1.0, 1.0]), 10.0)])
+        L = single_plane_bound()
         K = LocalUpperBoundSet(2, 100)
         K.arr = np.array([[4, 5]], dtype=np.int64)
         assert len(surviving(L, K)) == 0
 
     def test_survivor_blocks_fathoming(self):
-        L = LowerBoundSet(hyperplanes=[(np.array([1.0, 1.0]), 10.0)])
+        L = single_plane_bound()
         K = LocalUpperBoundSet(2, 100)
         K.arr = np.array([[4, 5], [6, 6]], dtype=np.int64)
         assert [tuple(u) for u in surviving(L, K)] == [(6, 6)]
@@ -329,30 +335,13 @@ class TestGapMeasures:
             assert lhg[i] == pytest.approx(
                 hv_simplex_gap(u, spanning_points(L, u)), abs=1e-9)
             assert hsz[i] == pytest.approx(
-                hv_box_gap(u, local_ideal(L)), abs=1e-9)
+                hv_box_gap(u, L.facet_offsets), abs=1e-9)
 
     def test_argmax_lub(self):
         L = polyline_bound()
         U = np.array([[6, 9], [9, 7], [10, 5]], dtype=float)
         assert list(gap_argmax_lub(L, U, MEASURE_HSZ)) == [9, 7]
         assert gap_argmax_lub(L, np.empty((0, 2)), MEASURE_HSZ) is None
-
-
-class TestLocalIdeal:
-    def test_facets_take_priority(self):
-        assert list(local_ideal(polyline_bound())) == [1.0, 0.5]
-
-    def test_singleton_extreme_point(self):
-        L = LowerBoundSet(hyperplanes=[],
-                          extreme_points=[np.array([4.0, 4.0])])
-        assert list(local_ideal(L)) == [4.0, 4.0]
-
-    def test_componentwise_min_of_extremes(self):
-        L = LowerBoundSet(hyperplanes=[],
-                          extreme_points=[np.array([0.0, 5.0, 9.0]),
-                                          np.array([5.0, 0.0, 9.0]),
-                                          np.array([9.0, 5.0, 0.0])])
-        assert list(local_ideal(L)) == [0.0, 0.0, 0.0]
 
 
 def test_default_big_m_exceeds_any_attainable_value():

@@ -99,6 +99,19 @@ class TestSolveCommand:
         assert main(["solve", str(path)]) == 2
         assert "'C': coefficients too large" in capsys.readouterr().err
 
+    def test_row_sum_at_limit_is_clean_error(self, tmp_path, capsys):
+        # a row of 2**62 + 65 whose float64 sum rounds below 2**62
+        inst = generate(GeneratorSpec(family="KP", p=2, seed=0, items=16))
+        path = tmp_path / "rowsum.json"
+        write_instance(inst, path)
+        doc = json.loads(path.read_text())
+        doc["C"][0] = [2**58 + 31] * 15 + [2**58 - 400]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="'C': coefficients too large"):
+            read_instance(path)
+        assert main(["solve", str(path)]) == 2
+        assert "'C': coefficients too large" in capsys.readouterr().err
+
     def test_missing_file_reported(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err

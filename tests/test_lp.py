@@ -12,8 +12,7 @@ import mobb.lp
 from mobb.bounds import LowerBoundSet
 from mobb.instances import GeneratorSpec, generate
 from mobb.lp import (_FACET_TOL, _FEAS_TOL, _LEX_CAP, _PIVOT_TOL, INFEASIBLE,
-                     OPTIMAL, UNBOUNDED, InfeasibleSubproblem, KeptPoints,
-                     RelaxedSubproblem, _dedupe_points,
+                     OPTIMAL, UNBOUNDED, RelaxedSubproblem, _dedupe_points,
                      _distinct, _feasible_subsets, _greedy_knapsack_lp,
                      _greedy_knapsack_rows, _lexmin, _normalize, _OuterRegion,
                      _solve_lps, _Tableau, lower_bound_frontier,
@@ -905,10 +904,11 @@ class TestFrontier2d:
         assert list(L.extreme_points[0]) == [1.0, 0.0]
         assert len(L.hyperplanes) >= 2  # one per unit direction
 
-    def test_infeasible_raises(self):
-        inst = Instance(C=[[1, 0], [0, 1]], A=[[1, 1]], b=[-1], senses=("le",))
-        with pytest.raises(InfeasibleSubproblem):
-            lower_bound_frontier(RelaxedSubproblem(inst))
+    def test_infeasible_returns_none(self):
+        # p = 3 takes _frontier_outer
+        for C in ([[1, 0], [0, 1]], [[1, 0], [0, 1], [1, 1]]):
+            inst = Instance(C=C, A=[[1, 1]], b=[-1], senses=("le",))
+            assert lower_bound_frontier(RelaxedSubproblem(inst)) is None
 
     @pytest.mark.parametrize("big", [2**52, 23243471785408570])
     def test_huge_objective_values_terminate(self, monkeypatch, big):
@@ -977,9 +977,8 @@ class TestFrontier2d:
     def test_hyperplanes_valid_for_all_feasible_points(self, seed):
         inst = random_instance(seed, p=2, n=6)
         sub = RelaxedSubproblem(inst)
-        try:
-            L = lower_bound_frontier(sub)
-        except InfeasibleSubproblem:
+        L = lower_bound_frontier(sub)
+        if L is None:
             return
         from mobb.model import enumerate_nondominated
         for s in enumerate_nondominated(inst):
@@ -1035,18 +1034,15 @@ class TestInheritedFrontier:
             j = int(rng.choice(sub.cols))
             v = int(rng.integers(2))
             # the child starts from its parent's bound, itself inherited
-            child = sub.branch(j, v)
-            kept = KeptPoints.of(L, j, v)
+            child = sub.branch(j, v, None, L)
             fresh = RelaxedSubproblem(inst, dict(child.fixings), list(cuts))
-            try:
-                ref = lower_bound_frontier(fresh)
-            except InfeasibleSubproblem:
+            ref = lower_bound_frontier(fresh)
+            if ref is None:
                 # a kept point would be feasible in the child
-                assert kept is None
-                with pytest.raises(InfeasibleSubproblem):
-                    lower_bound_frontier(child, kept)
+                assert child.kept is None
+                assert lower_bound_frontier(child) is None
                 return
-            got = lower_bound_frontier(child, kept)
+            got = lower_bound_frontier(child)
             _same_frontier(got, ref)
             _planes_hold_at_oracle(got, child)
             sub, L = child, got
@@ -1058,13 +1054,13 @@ class TestInheritedFrontier:
         inst = generate(CHAIN_SPECS[0])
         sub = RelaxedSubproblem(inst)
         L = lower_bound_frontier(sub)
-        kept = KeptPoints.of(L, 0, 0)
+        child = sub.branch(0, 0, None, L)
+        kept = child.kept
         assert kept.index == list(range(kept.count)) and kept.count >= 3
-        child = sub.branch(0, 0)
         calls = []
         monkeypatch.setattr(mobb.lp, "solve_lp",
                             lambda *args: calls.append(1) or solve_lp(*args))
-        got = lower_bound_frontier(child, kept)
+        got = lower_bound_frontier(child)
         assert not calls
         assert child.pending is None and child.tableau is not sub.tableau
         assert np.array_equal(got.extreme_points, L.extreme_points)
@@ -1096,10 +1092,10 @@ class TestFrontierOuter:
     def test_outer_planes_valid_by_brute_force(self, seed, p):
         inst = random_instance(seed, p=p, n=6)
         sub = RelaxedSubproblem(inst)
-        try:
-            L = refine_frontier(sub, lower_bound_frontier(sub), 25)
-        except InfeasibleSubproblem:
+        L = lower_bound_frontier(sub)
+        if L is None:
             return
+        L = refine_frontier(sub, L, 25)
         from mobb.model import enumerate_nondominated
         for s in enumerate_nondominated(inst):
             y = np.asarray(s.image, dtype=float)
@@ -1421,9 +1417,8 @@ _REFINE_SPECS = [
 
 def _assert_same_refinement(inst, fixings, refine_max):
     sub = RelaxedSubproblem(inst, fixings)
-    try:
-        L0 = lower_bound_frontier(sub)
-    except InfeasibleSubproblem:
+    L0 = lower_bound_frontier(sub)
+    if L0 is None:
         return
     got = refine_frontier(sub, L0, refine_max)
     # the same LP history, so warm starts take the same pivots

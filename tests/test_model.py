@@ -55,6 +55,19 @@ def _enumerate_scalar(instance, fixings=None, cap=DEFAULT_ENUM_CAP):
     return [Solution(x=best_x[y], image=y) for y in front]
 
 
+def _is_feasible_by_sense(instance, x):
+    """Reference for is_feasible: each row against b with its own sense."""
+    lhs = instance.A @ np.asarray(x, dtype=np.int64)
+    for i, s in enumerate(instance.senses):
+        if s == "le" and lhs[i] > instance.b[i]:
+            return False
+        if s == "ge" and lhs[i] < instance.b[i]:
+            return False
+        if s == "eq" and lhs[i] != instance.b[i]:
+            return False
+    return True
+
+
 def tiny_kp():
     """Two items, one of which fits: the smallest instance with two efficient points."""
     return Instance(C=[[-3, -1], [-1, -3]], A=[[1, 1]], b=[1], senses=("le",),
@@ -78,6 +91,21 @@ class TestInstance:
     def test_unknown_sense_rejected(self):
         with pytest.raises(ModelError):
             Instance(C=[[1, 0], [0, 1]], A=[[1, 1]], b=[1], senses=("lt",))
+
+    def test_row_sum_limit_is_exact(self):
+        # each entry and the running float64 sum round down, so a float sum
+        # took this row, 2**62 + 65, for one below the limit
+        with pytest.raises(ModelError, match="'C': coefficients too large"):
+            Instance(C=[[2**58 + 31] * 15 + [2**58 - 400], [1] * 16],
+                     A=[[1] * 16], b=[1], senses=("le",))
+        ok = Instance(C=[[2**61, 2**61 - 1], [1, 1]], A=[[1, 1]], b=[1],
+                      senses=("le",))
+        assert int(np.abs(ok.C[0]).sum()) == 2**62 - 1
+        with pytest.raises(ModelError, match="'A': coefficients too large"):
+            Instance(C=[[1, 1], [1, 1]], A=[[2**61, -2**61]], b=[1],
+                     senses=("le",))
+        with pytest.raises(ModelError, match="'b': coefficients too large"):
+            Instance(C=[[1, 1], [1, 1]], A=[[1, 1]], b=[-2**63], senses=("le",))
 
     def test_le_normalized_expands_equalities(self):
         inst = Instance(C=[[1, 0], [0, 1]], A=[[1, 1], [1, 0]], b=[1, 0],
@@ -152,6 +180,21 @@ class TestIsFeasible:
         inst = Instance(C=[[1, 0], [0, 1]], A=[[1, 1]], b=[1], senses=("ge",))
         assert not is_feasible(inst, (0, 0))
         assert is_feasible(inst, (1, 1))
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ModelError):
+            is_feasible(tiny_kp(), (1, 0, 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6))
+    def test_equals_row_by_row_senses(self, seed, m, n):
+        rng = np.random.default_rng(seed)
+        inst = Instance(C=rng.integers(-3, 4, (2, n)), A=rng.integers(-3, 4, (m, n)),
+                        b=rng.integers(-4, 5, m),
+                        senses=tuple(rng.choice(["le", "ge", "eq"], m)))
+        for bits in range(1 << n):
+            x = np.array([(bits >> k) & 1 for k in range(n)])
+            assert is_feasible(inst, x) == _is_feasible_by_sense(inst, x)
 
 
 class TestEnumerateNondominated:

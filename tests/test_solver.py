@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import operator
 import time
 import weakref
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import mobb.solver
 from mobb.bounds import IncumbentList, LowerBoundSet, surviving_mask
 from mobb.instances import GeneratorSpec, generate
-from mobb.lp import RelaxedSubproblem, _Tableau
+from mobb.lp import KeptPoints, RelaxedSubproblem, _Tableau, lower_bound_frontier
 from mobb.model import (Instance, ModelError, Solution, enumerate_nondominated,
                         is_feasible)
 from mobb.solver import (_INT_TOL, Node, SolverConfig, Solver, _Queue,
@@ -175,7 +176,7 @@ class TestLevelCut:
 
 class TestPruneRedundantCuts:
     def _bound_with_solutions(self, sols):
-        return LowerBoundSet(hyperplanes=[],
+        return LowerBoundSet(hyperplanes=[], facet_offsets=np.zeros(2),
                              extreme_points=[np.zeros(2) for _ in sols],
                              extreme_solutions=[np.asarray(s, dtype=float)
                                                 for s in sols])
@@ -199,7 +200,7 @@ class TestBranchingRules:
     def test_most_often_fractional(self):
         inst = Instance(C=[[1, 1, 1], [1, 1, 1]], A=[[1, 1, 1]], b=[3],
                         senses=("le",))
-        L = LowerBoundSet(hyperplanes=[],
+        L = LowerBoundSet(hyperplanes=[], facet_offsets=np.zeros(2),
                           extreme_solutions=[np.array([0.5, 1.0, 0.0]),
                                              np.array([0.5, 0.2, 0.0])])
         j = choose_branch_variable(inst, L, [0, 1, 2], SolverConfig())
@@ -212,7 +213,7 @@ class TestBranchingRules:
 
     def test_integral_solutions_fall_back_to_ratio_rule(self):
         inst = Instance(C=[[3, 1], [1, 3]], A=[[1, 2]], b=[3], senses=("le",))
-        L = LowerBoundSet(hyperplanes=[],
+        L = LowerBoundSet(hyperplanes=[], facet_offsets=np.zeros(2),
                           extreme_solutions=[np.array([1.0, 0.0])])
         assert choose_branch_variable(inst, L, [0, 1], SolverConfig()) == 0
 
@@ -509,7 +510,6 @@ class _FreshChildSolver(Solver):
     def process_node(self, node, iteration, queue):
         node.sub = RelaxedSubproblem(self.instance, dict(node.sub.fixings),
                                      list(node.sub.cut_rows))
-        node.kept = None
         return super().process_node(node, iteration, queue)
 
 
@@ -591,18 +591,18 @@ class TestWarmChildren:
         frontier = mobb.solver.lower_bound_frontier
         released = []
 
-        def recorded_branch(sub, j, v, cut_rows=None):
+        def recorded_branch(sub, j, v, cut_rows=None, bound=None):
             if v == 0:
                 parent["record"] = {"sub": weakref.ref(sub), "built": 0,
                                     "tableau": weakref.ref(sub.tableau)}
-            child = branch(sub, j, v, cut_rows)
+            child = branch(sub, j, v, cut_rows, bound)
             records[child] = parent["record"]
             return child
 
-        def recorded_frontier(sub, kept=None):
+        def recorded_frontier(sub):
             rec = records.get(sub)
             try:
-                return frontier(sub, kept)
+                return frontier(sub)
             finally:
                 if rec is not None:
                     rec["built"] += 1
@@ -634,9 +634,10 @@ class TestInheritedBounds:
             rows = child.sub.cut_rows
             if slb:
                 seen["slb"] += 1
-                assert child.kept is None
-            if not parent.keeps_rows(rows):
-                assert child.kept is None
+                assert child.sub.kept is None
+            if not (len(rows) == len(parent.cut_rows)
+                    and all(map(operator.is_, rows, parent.cut_rows))):
+                assert child.sub.kept is None
                 seen["added" if len(rows) > len(parent.cut_rows) else "dropped"] += 1
         assert min(seen.values()) >= 1, seen
 
@@ -646,14 +647,41 @@ class TestInheritedBounds:
         solver = _ChildRecordingSolver(inst, SolverConfig(node_selection="lhg"))
         points, _, _ = solver.solve()
         assert points == oracle_front(inst)
-        kept = 0
+        n_kept = 0
         for _, _, child in solver.children:
-            if child.kept is None:
+            kept = child.sub.kept
+            if kept is None:
                 continue
             j = list(child.sub.fixings)[-1]     # the child's own fixing
             v = child.sub.fixings[j]
-            assert child.kept.index == sorted(child.kept.index)
-            solutions = map(np.frombuffer, child.kept.solutions)
+            assert kept.index == sorted(kept.index)
+            solutions = map(np.frombuffer, kept.solutions)
             assert all(abs(x[j] - v) <= 1e-9 for x in solutions)
-            kept += 1
-        assert kept >= 5
+            n_kept += 1
+        assert n_kept >= 5
+
+    @staticmethod
+    def _root_with_kept_fixing(spec):
+        """The root subproblem of ``spec``, its frontier bound and a fixing
+        x_j = v that some extreme solution of the bound has."""
+        sub = RelaxedSubproblem(generate(spec))
+        L = lower_bound_frontier(sub)
+        x = L.extreme_solutions[0]
+        j = int(np.abs(x - x.round()).argmin())
+        v = int(x[j].round())
+        assert KeptPoints.of(L, j, v) is not None
+        return sub, L, j, v
+
+    def test_slb_bound_keeps_nothing(self):
+        # a simple bound has no extreme solutions to keep
+        sub, L, j, v = self._root_with_kept_fixing(P2_GENERAL[0])
+        slb = LowerBoundSet(hyperplanes=[(np.array([0.5, 0.5]), -1e9)],
+                            facet_offsets=L.facet_offsets)
+        assert sub.branch(j, v, None, L).kept is not None
+        assert sub.branch(j, v, None, slb).kept is None
+
+    def test_p3_bound_keeps_nothing(self):
+        # only _frontier_2d starts from kept points
+        sub, L, j, v = self._root_with_kept_fixing(GeneratorSpec(
+            family="GAP", p=3, seed=1, agents=3, jobs=4))
+        assert sub.branch(j, v, None, L).kept is None

@@ -272,7 +272,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ModelError, FileNotFoundError) as exc:
+    except (ParseError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -286,7 +286,7 @@ def read_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh, parse_float=_FloatLiteral)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")

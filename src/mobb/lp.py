@@ -240,13 +240,14 @@ class RelaxedSubproblem:
 
     ``cut_rows`` are decision-space inequalities a.x >= rhs (level-set cuts are
     stored here after integer rounding). The constructor builds the system
-    from them, so rows must not change afterwards. Only the first simplex
-    solve runs phase 1. Later objectives start phase 2 from the last optimal
-    basis, which stays primal feasible because only the objective changes
+    from them, so rows must not change afterwards. A knapsack (one nonnegative
+    row) never has a tableau: the greedy answers its LPs. Otherwise the first
+    ``solve_lp`` runs phase 1, and later objectives start phase 2 from the last
+    optimal basis, which stays primal feasible as only the objective changes
     (Chvatal 1983, ch. 10). A copy made by ``with_row``, or by ``branch`` for
-    a child that keeps the cut rows, needs no phase 1 either: it starts from a
-    copy of this subproblem's tableau, with its row appended or its
-    ``pending`` fixing substituted, and restores feasibility by dual simplex.
+    a child that keeps the cut rows, starts from a copy of this tableau, with
+    its row appended or its ``pending`` fixing substituted, and restores
+    feasibility by dual simplex.
     Every fixing is substituted, so the tableau's structural columns are
     always ``cols``, the free variables in increasing order.
     """
@@ -300,13 +301,12 @@ class RelaxedSubproblem:
         The appended copy keeps the reduced costs, so it starts dual feasible,
         and a dual simplex restores primal feasibility instead of phase 1.
         Phase 1 would build from the system alone and drop the row, so this
-        subproblem must have a tableau with no pending fixing; a knapsack gets
-        one only from ``simplex``, never from the greedy.
+        subproblem must have a tableau with no pending fixing; a knapsack never
+        has one, as the greedy answers all its LPs.
         """
         if self.tableau is None or self.pending is not None:
             raise ValueError("with_row needs a solved simplex tableau")
         extended = copy.copy(self)
-        extended.knapsack = False     # the greedy would ignore the row
         extended._settle(self.tableau.with_row(a, float(rhs)))
         return extended
 
@@ -319,7 +319,7 @@ class RelaxedSubproblem:
         inherits: at p = 2, as ``kept``, the extreme points of ``bound``
         (this subproblem's bound set) that its fixing keeps, and the tableau.
         This subproblem first substitutes its own pending fixing. Then, when
-        it has a simplex tableau and is not a knapsack, the child's first
+        it has a simplex tableau (a knapsack never has one), the child's first
         solve starts from a copy of that tableau as it then stands: x_j
         leaves the basis if it is basic (``_Tableau.fixed``), moves to v and
         its column is deleted, and a dual simplex restores feasibility. Until
@@ -331,7 +331,7 @@ class RelaxedSubproblem:
         rows = self.cut_rows if cut_rows is None else cut_rows
         inside = (len(rows) == len(self.cut_rows)
                   and all(map(operator.is_, rows, self.cut_rows)))
-        if self.tableau is None or self.knapsack or not inside:
+        if self.tableau is None or not inside:
             child = RelaxedSubproblem(self.instance, fixings, list(rows))
         else:
             c = int(self.cols.searchsorted(j))
@@ -370,39 +370,30 @@ class RelaxedSubproblem:
         if tab is None:
             self.infeasible = True
 
-    def simplex(self, cf):
-        """(value, y) of min cf.y over the columns, reoptimized from the last
-        tableau, or None if infeasible."""
-        if self.tableau is None:
-            # box: x_j <= 1 for free variables; the knapsack greedy never
-            # needs these rows, so they are built only here
-            k = len(self.cols)
-            A = np.vstack([self.Af, np.eye(k)])
-            b = np.concatenate([self.bf, np.ones(k)])
-            self.tableau = _Tableau.phase1(A, b)
-            if self.tableau is None:
-                self.infeasible = True
-        else:
-            self.apply_pending()
-        if self.tableau is None:
-            return None
-        if self.tableau.optimize(cf) == UNBOUNDED:
-            raise ModelError("unbounded LP over a boxed binary relaxation")
-        return self.tableau.point()
 
-
-def _greedy_knapsack_lp(c, w, cap):
-    """min c.y s.t. w.y <= cap, 0 <= y <= 1, with w >= 0: fractional greedy.
+def _greedy_knapsack_lp(c, w, cap, then=None):
+    """min c.y s.t. w.y <= cap, 0 <= y <= 1, with w >= 0: Dantzig's greedy.
     ``_greedy_knapsack_rows`` is the same greedy for many objectives at once;
-    on a single objective it takes more than twice as long as this one."""
+    on one objective it takes more than twice as long as this one. With
+    ``then``, the lexicographic minimum (min c.y, then min then.y): the items
+    tied at the critical c ratio fill the capacity left, so items go by
+    (c_i / w_i, then_i / w_i, i), and c-neutral items that lower ``then`` go
+    last. Ties are exact on integer data while every |c_i| w_j and |then_i| w_j
+    is below 2**52: distinct ratios a/b and c/d differ by at least 1/(bd), and
+    rounding moves each by at most 2**-53 of itself."""
     if cap < -_FEAS_TOL:
         return None
     y = np.zeros(len(c))
-    gain = (c < -_PIVOT_TOL).nonzero()[0]
+    gain = c < -_PIVOT_TOL
+    if then is not None:
+        gain |= (abs(c) <= _PIVOT_TOL) & (then < -_PIVOT_TOL)
+    gain = gain.nonzero()[0]
     freebies = gain[w[gain] <= _PIVOT_TOL]
     y[freebies] = 1.0
     paid = gain[w[gain] > _PIVOT_TOL]
-    order = paid[np.lexsort((paid, c[paid] / w[paid]))]
+    ratio = c[paid] / w[paid]
+    keys = (paid, ratio) if then is None else (paid, then[paid] / w[paid], ratio)
+    order = paid[np.lexsort(keys)]
     cum = w[order].cumsum()
     nfull = int(cum.searchsorted(float(cap) + 1e-12, side="right"))
     y[order[:nfull]] = 1.0
@@ -461,7 +452,8 @@ def _knapsack_result(sub: RelaxedSubproblem, c, y) -> LpResult:
 def solve_lp(sub: RelaxedSubproblem, c) -> LpResult:
     """min c.x over the subproblem's relaxation (0 <= x <= 1, fixings applied).
 
-    Reoptimizes the subproblem's tableau from its last basis.
+    A knapsack takes the greedy. Otherwise this is the one place that builds
+    the tableau, by phase 1, or reoptimizes it from its last basis.
     """
     c = np.asarray(c, dtype=float)
     if sub.infeasible:
@@ -473,10 +465,19 @@ def solve_lp(sub: RelaxedSubproblem, c) -> LpResult:
     # a branched child learns whether its fixings hold from its first solve
     if not len(sub.cols) and sub.pending is None:
         return LpResult(status=OPTIMAL, value=offset, x=sub.full_x(0.0))
-    point = sub.simplex(c[sub.cols])
-    if point is None:
+    if sub.tableau is None:
+        # the box rows x_j <= 1, which the greedy never needs, only here
+        k = len(sub.cols)
+        sub.tableau = _Tableau.phase1(np.vstack([sub.Af, np.eye(k)]),
+                                      np.concatenate([sub.bf, np.ones(k)]))
+        sub.infeasible = sub.tableau is None
+    else:
+        sub.apply_pending()
+    if sub.infeasible:
         return LpResult(status=INFEASIBLE)
-    value, y = point
+    if sub.tableau.optimize(c[sub.cols]) == UNBOUNDED:
+        raise ModelError("unbounded LP over a boxed binary relaxation")
+    value, y = sub.tableau.point()
     return LpResult(status=OPTIMAL, value=value + offset,
                     x=sub.full_x(y.clip(0.0, 1.0)))
 
@@ -498,25 +499,22 @@ def _solve_lps(sub: RelaxedSubproblem, objs) -> list:
 def _lexmin(sub: RelaxedSubproblem, k: int, j: int):
     """Lexicographic minimum over the relaxation: min z_k, then min z_j.
 
-    Stage 2 solves the ``with_row`` copy capped by z_k <= v_k + _LEX_CAP. The
-    cap's slack is basic at _LEX_CAP >= 0 in the stage-1 optimal tableau, so
-    the copy is primal feasible, its dual simplex makes no pivot, and phase 2
-    runs from the stage-1 basis.
+    A knapsack's stage 2 is the greedy with z_j as its second key. Any other
+    solves the ``with_row`` copy capped by z_k <= v_k + _LEX_CAP, whose slack
+    is basic at _LEX_CAP >= 0 in the stage-1 optimal tableau: the copy is
+    primal feasible, and phase 2 runs from the stage-1 basis.
     """
     inst = sub.instance
     ck = inst.C[k].astype(float)
     res = solve_lp(sub, ck)
     if res.status == INFEASIBLE:
         return None
-    vk = res.value
-    x = res.x
-    if len(sub.cols):
-        a = ck[sub.cols]
+    vk, x, cols = res.value, res.x, sub.cols
+    if sub.knapsack:
+        x = sub.full_x(_greedy_knapsack_lp(ck[cols], sub.Af[0], sub.bf[0], inst.C[j, cols]))
+    elif len(cols):
         cap = vk + _LEX_CAP - float(ck[sub.fixed_idx] @ sub.xf)
-        # already optimal for z_k, with no pivot, unless the knapsack greedy
-        # answered stage 1; then this builds the tableau that with_row needs
-        sub.simplex(a)
-        capped = solve_lp(sub.with_row(a, cap), inst.C[j])
+        capped = solve_lp(sub.with_row(ck[cols], cap), inst.C[j])
         # only float rounding at huge objective values can make the cap
         # infeasible; the stage-1 point then stands
         if capped.status == OPTIMAL:

@@ -130,6 +130,33 @@ class TestSolveCommand:
         assert "refine_max" in capsys.readouterr().err
 
 
+class TestUnreadablePaths:
+    """A path that names a directory, or a file that is not UTF-8, exits 2
+    with an error line instead of a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{dir}"],
+        ["oracle", "{dir}"],
+        ["solve", "{latin1}"],
+        ["oracle", "{latin1}"],
+        ["solve", "{kp}", "--out", "{dir}"],
+        ["generate", "--family", "KP", "--items", "4", "--out", "{dir}"],
+    ], ids=["solve-dir", "oracle-dir", "solve-latin1", "oracle-latin1",
+            "solve-out-dir", "generate-out-dir"])
+    def test_exits_2(self, kp_file, tmp_path, capsys, argv):
+        latin1 = tmp_path / "latin1.moip.json"
+        latin1.write_bytes('{"name": "café"}'.encode("latin-1"))
+        paths = {"dir": str(tmp_path), "latin1": str(latin1), "kp": str(kp_file)}
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.moip.json"
+        path.write_bytes('{"name": "café"}'.encode("latin-1"))
+        with pytest.raises(ParseError, match="latin1.moip.json"):
+            read_instance(path)
+
+
 class TestOracleCommand:
     def test_matches_solver(self, kp_file, capsys):
         main(["solve", str(kp_file)])

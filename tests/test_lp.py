@@ -2,6 +2,8 @@
 
 import collections
 import itertools
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import mobb.lp
 from mobb.bounds import LowerBoundSet
+from mobb.cli import approach_config
 from mobb.instances import GeneratorSpec, generate
 from mobb.lp import (_FACET_TOL, _FEAS_TOL, _LEX_CAP, _PIVOT_TOL, INFEASIBLE,
                      OPTIMAL, UNBOUNDED, RelaxedSubproblem, _dedupe_points,
@@ -18,6 +21,7 @@ from mobb.lp import (_FACET_TOL, _FEAS_TOL, _LEX_CAP, _PIVOT_TOL, INFEASIBLE,
                      _solve_lps, _Tableau, lower_bound_frontier,
                      refine_frontier, solve_lp)
 from mobb.model import Instance, enumerate_nondominated
+from mobb.solver import solve
 
 
 def _simplex(c, A, b):
@@ -678,21 +682,6 @@ class TestWithRow:
             _same_result(solve_lp(sub, c), solve_lp(twin, c))
         assert sub.tableau.T.tobytes() == twin.tableau.T.tobytes()
 
-    def test_row_on_a_knapsack_is_honoured(self):
-        # the level cut's own objective: the greedy alone would go below it
-        inst = generate(CHAIN_SPECS[3])
-        (g, r), = _level_cut(inst, np.random.default_rng(4))
-        sub = RelaxedSubproblem(inst)
-        assert sub.knapsack
-        assert solve_lp(sub, g).value < r - 1e-3
-        sub.simplex(g[sub.cols])
-        got = solve_lp(sub.with_row(-g[sub.cols], -r), g)
-        ref = solve_lp(RelaxedSubproblem(inst, {}, [(g, r)]), g)
-        assert got.status == ref.status == OPTIMAL
-        assert got.value == pytest.approx(ref.value, abs=1e-7)
-        assert got.value == pytest.approx(r, abs=1e-7)
-        assert float(g @ got.x) >= r - 1e-7
-
     def test_needs_a_tableau(self):
         inst = generate(CHAIN_SPECS[3])
         sub = RelaxedSubproblem(inst)
@@ -702,8 +691,9 @@ class TestWithRow:
 
 
 def _lexmin_reference(sub, k, j):
-    """``_lexmin`` with stage 2 run by hand: phase 2 on a copy of the stage-1
-    tableau with the cap row appended, and no dual simplex."""
+    """``_lexmin`` on a simplex relaxation with stage 2 run by hand: phase 2
+    on a copy of the stage-1 tableau with the cap row appended, and no dual
+    simplex."""
     inst = sub.instance
     ck = inst.C[k].astype(float)
     res = solve_lp(sub, ck)
@@ -714,7 +704,6 @@ def _lexmin_reference(sub, k, j):
     if len(sub.cols):
         a = ck[sub.cols]
         cap = vk + _LEX_CAP - float(ck[sub.fixed_idx] @ sub.xf)
-        sub.simplex(a)
         capped = sub.tableau.with_row(a, cap)
         capped.optimize(inst.C[j, sub.cols].astype(float))
         x = sub.full_x(np.clip(capped.point()[1], 0.0, 1.0))
@@ -722,8 +711,8 @@ def _lexmin_reference(sub, k, j):
 
 
 class TestLexmin:
-    """``_lexmin`` through ``solve_lp`` on a ``with_row`` copy equals the
-    hand-driven stage 2 bit for bit, after a greedy or a simplex stage 1."""
+    """``_lexmin`` on a simplex relaxation, through ``solve_lp`` on a
+    ``with_row`` copy, equals the hand-driven stage 2 bit for bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, len(CHAIN_SPECS) - 1), st.integers(0, 10_000),
@@ -731,11 +720,13 @@ class TestLexmin:
     def test_equals_reference(self, family, seed, level_cut):
         inst = generate(CHAIN_SPECS[family])
         rng = np.random.default_rng(seed)
-        cuts = _level_cut(inst, rng) if level_cut else []
+        # a knapsack needs the cut to leave the greedy
+        cuts = _level_cut(inst, rng) if level_cut or inst.m == 1 else []
         fixed = rng.permutation(inst.n)[:int(rng.integers(0, inst.n // 2))]
         fixings = {int(j): int(rng.integers(2)) for j in fixed}
         sub = RelaxedSubproblem(inst, fixings, cuts)
         twin = RelaxedSubproblem(inst, dict(fixings), cuts)
+        assert not sub.knapsack
         for k, j in ((0, 1), (1, 0), (0, 1)):
             got = _lexmin(sub, k, j)
             ref = _lexmin_reference(twin, k, j)
@@ -746,6 +737,144 @@ class TestLexmin:
             assert got[1].tobytes() == ref[1].tobytes()
             assert got[2].tobytes() == ref[2].tobytes()
         assert sub.tableau.T.tobytes() == twin.tableau.T.tobytes()
+
+
+def _knapsack_lexmin_oracle(c, d, w, cap):
+    """The lexicographically smallest (c.y, d.y) over w.y <= cap, 0 <= y <= 1,
+    in exact arithmetic, and every vertex y that attains it; None when cap < 0.
+    The vertices are each subset taken whole, plus at most one more item cut
+    to the capacity left."""
+    c, d, w = ([Fraction(int(v)) for v in row] for row in (c, d, w))
+    cap = Fraction(int(cap))
+    if cap < 0:
+        return None
+    n = len(w)
+    best, argbest = None, []
+    for whole in itertools.product((0, 1), repeat=n):
+        y = [Fraction(v) for v in whole]
+        left = cap - sum(wi * yi for wi, yi in zip(w, y))
+        if left < 0:
+            continue
+        cuts = [i for i in range(n) if not whole[i] and w[i] > left]
+        for i in [None] + cuts:
+            v = list(y)
+            if i is not None:
+                v[i] = left / w[i]
+            key = (sum(map(operator.mul, c, v)), sum(map(operator.mul, d, v)))
+            if best is None or key < best:
+                best, argbest = key, [v]
+            elif key == best:
+                argbest.append(v)
+    return best, argbest
+
+
+def _random_knapsack(rng, n):
+    """A knapsack instance whose two objectives and weight carry zeros, ratios
+    tied within and across objectives, and a capacity of every kind, with up
+    to n // 2 fixings that leave some weight free."""
+    w = rng.integers(0, 10, n)
+    w[rng.random(n) < 0.25] = 0
+    C = rng.integers(-9, 10, (2, n))
+    C[rng.random((2, n)) < 0.25] = 0
+    tied = rng.random((2, n)) < 0.3
+    C[tied] = (-w * rng.integers(1, 3, (2, n)))[tied]
+    cap = {0: 0, 1: -int(rng.integers(1, 4)), 2: int(w.sum()),
+           3: int(w.sum()) + 2}.get(int(rng.integers(6)), int(rng.integers(0, w.sum() + 1)))
+    fixed = rng.permutation(n)[:int(rng.integers(0, n // 2 + 1))]
+    free = np.setdiff1d(np.arange(n), fixed)
+    if not w[free].any():
+        w[free[0]] = int(rng.integers(1, 10))
+    inst = Instance(C=C, A=[w], b=[cap], senses=("le",))
+    return inst, {int(j): int(rng.integers(2)) for j in fixed}
+
+
+def _check_knapsack_lexmin(inst, fixings, k, j):
+    """``_lexmin(sub, k, j)`` on a knapsack against the exact oracle: the same
+    emptiness, the values within 1e-9 and x within 1e-9 of an optimal vertex."""
+    sub = RelaxedSubproblem(inst, fixings)
+    assert sub.knapsack
+    got = _lexmin(sub, k, j)
+    cols = sub.cols
+    offset = inst.C[:, sub.fixed_idx] @ sub.xf
+    cap = int(inst.b[0]) - sum(int(inst.A[0, i]) * v for i, v in fixings.items())
+    ref = _knapsack_lexmin_oracle(inst.C[k, cols], inst.C[j, cols], inst.A[0, cols], cap)
+    assert (got is None) == (ref is None)
+    if ref is None:
+        return None
+    (vk, vj), vertices = ref
+    assert got[0] == pytest.approx(float(vk) + offset[k], rel=1e-15, abs=1e-9)
+    assert got[1][k] == pytest.approx(float(vk) + offset[k], rel=1e-15, abs=1e-9)
+    assert got[1][j] == pytest.approx(float(vj) + offset[j], rel=1e-15, abs=1e-9)
+    assert all(got[2][i] == v for i, v in fixings.items())
+    assert any(np.abs(got[2][cols] - np.array(v, dtype=float)).max() <= 1e-9
+               for v in vertices)
+    assert sub.tableau is None
+    return got
+
+
+class TestKnapsackLexmin:
+    """A knapsack's lexicographic minimum is the greedy's, exact, with no
+    tableau."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_matches_exact_oracle(self, seed, n):
+        rng = np.random.default_rng(seed)
+        inst, fixings = _random_knapsack(rng, n)
+        for k, j in ((0, 1), (1, 0)):
+            _check_knapsack_lexmin(inst, fixings, k, j)
+
+    def test_oracle_cases_are_covered(self):
+        # the generator the hypothesis test draws from covers every case
+        # that ``_random_knapsack`` names
+        seen = collections.Counter()
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            inst, fixings = _random_knapsack(rng, int(rng.integers(1, 9)))
+            w, C = inst.A[0], inst.C
+            cap = int(inst.b[0]) - sum(int(w[i]) * v for i, v in fixings.items())
+            paid = w > 0
+            ratios = [tuple(row[paid] / w[paid]) for row in C]
+            seen["tie"] += any(len(set(r)) < len(r) for r in ratios)
+            seen["zero cost"] += bool((C == 0).any())
+            seen["zero weight"] += bool((~paid).any())
+            seen["fixings"] += bool(fixings)
+            seen["infeasible"] += cap < 0
+            if _check_knapsack_lexmin(inst, fixings, 0, 1) is not None:
+                seen["solved"] += 1
+        assert min(seen.values()) >= 10 and len(seen) == 6, seen
+
+    @pytest.mark.parametrize("C, w, cap, expected", [
+        # nearly tied: -(d - 1)/d and -d/(d + 1) differ by 1/(d(d + 1)), about
+        # 2**-52, with every |c_i| w_j just below 2**52; item 0 is cheaper in
+        # the second objective, so a float tie would take it first
+        ([[-(2**26 - 3), -(2**26 - 2)], [-1, 0]], [2**26 - 2, 2**26 - 1],
+         2**26 - 1, [0.0, 1.0]),
+        # exactly tied, with the largest |c_i| w_j at 2**52 - 4: the second
+        # objective decides
+        ([[-(2**25 - 1), -(2**26 - 2)], [0, -1]], [2**25 + 1, 2**26 + 2],
+         2**26 + 2, [0.0, 1.0]),
+    ], ids=["nearly-tied", "exactly-tied"])
+    def test_ties_at_large_magnitudes(self, C, w, cap, expected):
+        assert max(abs(c) for row in C for c in row) * max(w) < 2**52
+        inst = Instance(C=C, A=[w], b=[cap], senses=("le",))
+        vk, _, x = _check_knapsack_lexmin(inst, {}, 0, 1)
+        assert x.tolist() == expected
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_kp_solve_builds_no_tableau(self, monkeypatch, seed):
+        # every relaxation of a KP at p = 2 under NS(LHG) is a knapsack, which
+        # answers its LPs and both lexicographic minima by the greedy alone
+        runs = []
+        phase1 = _Tableau.phase1.__func__
+        monkeypatch.setattr(_Tableau, "phase1", classmethod(
+            lambda cls, A, b: runs.append(1) or phase1(cls, A, b)))
+        inst = generate(GeneratorSpec(family="KP", p=2, seed=seed, items=14))
+        points, _, stats = solve(inst, approach_config("NS(LHG)", 600.0))
+        assert stats.solved and stats.nodes_explored > 50
+        assert not runs
+        assert (sorted(tuple(int(v) for v in y) for y in points)
+                == sorted(tuple(s.image) for s in enumerate_nondominated(inst)))
 
 
 class TestGreedyKnapsackLp:

@@ -6,7 +6,8 @@ and both stages of the lexicographic minimum run on its tableau. Chains of
 ``RelaxedSubproblem.branch`` children substitute each fixing into the
 parent's optimal tableau and start from it by dual simplex: the tableau of
 the parent's last ``solve_lp``, or the one ``lower_bound_frontier`` leaves,
-as the branch-and-bound solver branches from.
+as the branch-and-bound solver branches from. A knapsack relaxation's
+lexicographic minimum comes from the greedy alone, and is checked here too.
 """
 
 import numpy as np
@@ -117,6 +118,34 @@ def test_lexmin_stages_match_highs(spec):
             assert y[j] == pytest.approx(vj, abs=TOL)
             checked += 1
     assert checked >= 24
+
+
+def test_knapsack_lexmin_matches_highs():
+    # exact: z_k at its minimum, and z_j at its minimum with z_k capped there
+    inst = generate(GeneratorSpec(family="KP", p=2, seed=3, items=10))
+    rng = np.random.default_rng(14)
+    checked = infeasible = 0
+    for _ in range(24):
+        # up to n - 1 fixings, some of which overfill the knapsack
+        fixed = rng.permutation(inst.n)[:int(rng.integers(0, inst.n))]
+        fixings = {int(j): int(rng.integers(2)) for j in fixed}
+        sub = RelaxedSubproblem(inst, fixings)
+        assert sub.knapsack
+        for k, j in ((0, 1), (1, 0)):
+            out = _lexmin(sub, k, j)
+            status, vk = _highs(inst, fixings, [], inst.C[k])
+            assert (out is None) == (status == INFEASIBLE)
+            if out is None:
+                infeasible += 1
+                continue
+            value, y, _ = out
+            assert value == pytest.approx(vk, abs=TOL)
+            status, vj = _highs(inst, fixings, [], inst.C[j], extra=[(inst.C[k], vk)])
+            assert status == OPTIMAL
+            assert y[k] == pytest.approx(vk, abs=TOL)
+            assert y[j] == pytest.approx(vj, abs=TOL)
+            checked += 1
+    assert checked >= 24 and infeasible >= 2
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)

@@ -19,14 +19,15 @@ class LowerBoundSet:
     valid inequality lambda . y >= rhs for every feasible image of the
     subproblem. ``facet_offsets`` are valid componentwise lower bounds (the
     axis-parallel extreme facets), so they are also the bound's local ideal
-    point. A simple bound carries one level-set hyperplane plus the facets
-    inherited from its parent node, and no extreme points.
+    point. ``extreme_solutions`` are the relaxation's solutions behind the
+    planes, as full x vectors; their images are ``C @ x``. A simple bound
+    carries one level-set hyperplane plus the facets inherited from its parent
+    node, and no extreme solutions.
     """
 
     hyperplanes: list            # [(np.ndarray lam, float rhs)]
     facet_offsets: np.ndarray    # float p-vector
-    extreme_points: list = field(default_factory=list)     # np.ndarray images
-    extreme_solutions: list = field(default_factory=list)  # aligned full x vectors
+    extreme_solutions: list = field(default_factory=list)  # full x vectors
 
     @functools.cached_property
     def plane_matrix(self):

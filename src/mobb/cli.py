@@ -191,24 +191,28 @@ def profile_rows(bench_rows):
 
 
 def cmd_profile(args) -> int:
-    with open(args.bench, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != BENCH_HEADER:
-            print(f"unexpected bench CSV header: {reader.fieldnames}", file=sys.stderr)
+    try:
+        with open(args.bench, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{args.bench}: {exc}") from None
+    reader = csv.DictReader(lines)
+    if reader.fieldnames != BENCH_HEADER:
+        print(f"unexpected bench CSV header: {reader.fieldnames}", file=sys.stderr)
+        return 1
+    rows = []
+    for row in reader:
+        try:
+            # DictReader files surplus fields under None and fills
+            # missing ones with None
+            if None in row or None in row.values():
+                raise ValueError(f"expected {len(BENCH_HEADER)} fields")
+            float(row["time_s"])
+        except ValueError as exc:
+            print(f"bad bench CSV row at line {reader.line_num}: {exc}",
+                  file=sys.stderr)
             return 1
-        rows = []
-        for row in reader:
-            try:
-                # DictReader files surplus fields under None and fills
-                # missing ones with None
-                if None in row or None in row.values():
-                    raise ValueError(f"expected {len(BENCH_HEADER)} fields")
-                float(row["time_s"])
-            except ValueError as exc:
-                print(f"bad bench CSV row at line {reader.line_num}: {exc}",
-                      file=sys.stderr)
-                return 1
-            rows.append(row)
+        rows.append(row)
     out = args.out or "profile.csv"
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")

@@ -1,8 +1,8 @@
 """Single-objective 0-1 branch and bound for weighted-sum and e-constraint scalarizations.
 
-Best-bound search with LP relaxation bounds. On a time limit the incumbent
-(if any) is returned together with the best proven global bound, so callers
-can degrade gracefully instead of failing.
+Best-bound search with LP relaxation bounds. When a deadline or a node limit
+stops the search, the incumbent (if any) is returned together with the best
+proven global bound, so callers can degrade gracefully instead of failing.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import INFEASIBLE, OPTIMAL, RelaxedSubproblem, solve_lp
+from .model import Instance
 
 STATUS_OPTIMAL = "optimal"
 STATUS_FEASIBLE_TIMEOUT = "feasible_timeout"
@@ -43,15 +44,15 @@ def _fractional_var(x, free):
     return int(free[k]) if frac[k] > _INT_TOL else -1
 
 
-def solve_single_objective(sub: RelaxedSubproblem, c, time_limit: float = math.inf,
+def solve_single_objective(sub: RelaxedSubproblem, c, deadline: float = math.inf,
                            node_limit: int = None) -> ScalarResult:
     """min c.x over the binary subproblem, by best-bound branch and bound.
 
-    ``node_limit`` caps the number of expanded nodes; unlike the wall-clock
-    limit it makes truncated solves reproducible across runs.
+    ``deadline`` is an absolute ``time.monotonic()`` reading. ``node_limit``
+    caps the number of expanded nodes; unlike the deadline it makes truncated
+    solves reproducible across runs.
     """
     c = np.asarray(c, dtype=float)
-    deadline = time.monotonic() + time_limit if math.isfinite(time_limit) else math.inf
     root = solve_lp(sub, c)
     if root.status == INFEASIBLE:
         return ScalarResult(status=STATUS_INFEASIBLE, bound=math.inf)
@@ -105,52 +106,48 @@ def solve_single_objective(sub: RelaxedSubproblem, c, time_limit: float = math.i
                         value=best_val, bound=best_val)
 
 
-def solve_weighted_sum_ip(sub: RelaxedSubproblem, lam, time_limit: float = math.inf,
+def solve_weighted_sum_ip(sub: RelaxedSubproblem, lam, deadline: float = math.inf,
                           node_limit: int = None):
     """Weighted-sum scalarization to integer optimality.
 
-    Returns (result, (lam, level_rhs)): the level set lam.Cx >= level_rhs is a
-    valid inequality for the subproblem. On timeout the proven bound is used
-    as the level-set right-hand side.
+    Returns (result, (lam, level_rhs)), or (result, None) when the subproblem
+    is infeasible. The level set lam.Cx >= level_rhs is a valid inequality for
+    the subproblem: level_rhs is the result's proven bound, which is its value
+    when it is optimal, and holds too when the solve stops early.
     """
     lam = np.asarray(lam, dtype=float)
-    c = lam @ sub.instance.C
-    res = solve_single_objective(sub, c, time_limit, node_limit)
-    if res.status == STATUS_OPTIMAL:
-        return res, (lam, res.value)
-    if res.status in (STATUS_FEASIBLE_TIMEOUT, STATUS_NO_SOLUTION_TIMEOUT):
-        return res, (lam, res.bound)
-    return res, None
+    res = solve_single_objective(sub, lam @ sub.instance.C, deadline, node_limit)
+    if res.status == STATUS_INFEASIBLE:
+        return res, None
+    return res, (lam, res.bound)
 
 
-def solve_econstraint(sub: RelaxedSubproblem, k: int, eps, time_limit: float = math.inf):
-    """Two-stage e-constraint scalarization: min z_k under z_i <= eps_i, then
-    min sum z_i under the stage-1 cap. Returns (result, n_ip_solves).
+def solve_econstraint(instance: Instance, cut_rows, k: int, eps,
+                      deadline: float = math.inf):
+    """Two-stage e-constraint scalarization under the rows a.x >= rhs of
+    ``cut_rows``: min z_k under z_i <= eps_i, then min sum z_i under the
+    stage-1 cap. Returns (result, n_ip_solves).
 
     An optimal stage-2 solution is efficient for the underlying problem.
-    ``time_limit`` bounds both stages together.
+    Both stages stop at the one absolute ``deadline``.
     """
-    inst = sub.instance
-    p = inst.p
+    p = instance.p
     eps = list(eps)
     if len(eps) != p - 1:
         raise ValueError(f"eps needs {p - 1} entries, got {len(eps)}")
     others = [i for i in range(p) if i != k]
     # z_i <= e  as  -C_i x >= -e
-    caps = [(-inst.C[i].astype(float), -float(e)) for i, e in zip(others, eps)]
-    deadline = time.monotonic() + time_limit
-    stage1 = RelaxedSubproblem(inst, dict(sub.fixings), sub.cut_rows + caps)
-    res1 = solve_single_objective(stage1, inst.C[k].astype(float), time_limit)
+    rows = list(cut_rows) + [(-instance.C[i].astype(float), -float(e))
+                             for i, e in zip(others, eps)]
+    res1 = solve_single_objective(RelaxedSubproblem(instance, {}, rows),
+                                  instance.C[k].astype(float), deadline)
     if res1.status in (STATUS_INFEASIBLE, STATUS_NO_SOLUTION_TIMEOUT):
         return res1, 1
-    cap = res1.value
-    stage2 = RelaxedSubproblem(inst, dict(stage1.fixings), stage1.cut_rows
-                               + [(-inst.C[k].astype(float), -float(cap))])
-    c2 = inst.C.sum(axis=0).astype(float)
-    res2 = solve_single_objective(stage2, c2, deadline - time.monotonic())
+    stage2 = RelaxedSubproblem(instance, {}, rows + [(-instance.C[k].astype(float),
+                                                      -float(res1.value))])
+    res2 = solve_single_objective(stage2, instance.C.sum(axis=0).astype(float), deadline)
     if res2.status in (STATUS_INFEASIBLE, STATUS_NO_SOLUTION_TIMEOUT):
         # stage-1 incumbent is still feasible for the e-constraint problem
         return ScalarResult(status=STATUS_FEASIBLE_TIMEOUT, solution=res1.solution,
                             value=res1.value, bound=res1.bound), 2
     return res2, 2
-

@@ -567,7 +567,7 @@ class KeptPoints:
         if not index:
             return None
         return cls(index, [L.extreme_solutions[i].tobytes() for i in index],
-                   len(L.extreme_points), L.facet_offsets)
+                   len(L.extreme_solutions), L.facet_offsets)
 
 
 def _facet_normal(ya, yb):
@@ -684,10 +684,8 @@ def _frontier_2d(sub: RelaxedSubproblem) -> LowerBoundSet:
             stack.append((ya, yc))
             stack.append((yc, yb))
     order = np.lexsort((np.asarray(points)[:, 1], np.asarray(points)[:, 0]))
-    points = [points[i] for i in order]
-    sols = [sols[i] for i in order]
     return LowerBoundSet(hyperplanes=hyperplanes,
-                         extreme_points=points, extreme_solutions=sols,
+                         extreme_solutions=[sols[i] for i in order],
                          facet_offsets=np.array([v1, v2]))
 
 
@@ -814,18 +812,16 @@ def _frontier_outer(sub: RelaxedSubproblem) -> LowerBoundSet:
     points = [Cf @ x for x in sols]
     # valid axis facets from pure per-objective minima
     offsets = np.array([r.value for r in results[len(weights):]])
-    points, sols = _dedupe_points(points, sols)
     return LowerBoundSet(hyperplanes=hyperplanes,
-                         extreme_points=points, extreme_solutions=sols,
+                         extreme_solutions=_dedupe_solutions(points, sols),
                          facet_offsets=offsets)
 
 
-def _dedupe_points(points, sols):
-    """The first of each repeated point at 7 decimals, with its solution,
-    sorted by the rounded point."""
+def _dedupe_solutions(points, sols):
+    """The solution of the first of each repeated point at 7 decimals, sorted
+    by the rounded point; ``points`` are the images of ``sols``."""
     first = _first_occurrences(points)
-    keep = [first[k] for k in sorted(first)]
-    return [points[i] for i in keep], [sols[i] for i in keep]
+    return [sols[first[k]] for k in sorted(first)]
 
 
 def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
@@ -843,8 +839,8 @@ def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
         return L
     C = inst.C.astype(float)  # no cast per product
     hyperplanes = list(L.hyperplanes)
-    points = list(L.extreme_points)
     sols = list(L.extreme_solutions)
+    points = [C @ x for x in sols]
     cache = {}     # plane key -> LpResult
     solves = 0
     supported = set()
@@ -893,9 +889,8 @@ def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
         if solves >= refine_max:
             break
         region.add(new_planes)
-    points, sols = _dedupe_points(points, sols)
     return LowerBoundSet(hyperplanes=hyperplanes,
-                         extreme_points=points, extreme_solutions=sols,
+                         extreme_solutions=_dedupe_solutions(points, sols),
                          facet_offsets=L.facet_offsets)
 
 

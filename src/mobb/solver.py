@@ -19,8 +19,7 @@ import numpy as np
 from .bounds import (IncumbentList, LocalUpperBoundSet, LowerBoundSet,
                      MEASURE_HSZ, MEASURE_LHG, default_big_m, gap_argmax_lub,
                      gap_values, surviving_mask)
-from .ipsolve import (STATUS_INFEASIBLE, STATUS_NO_SOLUTION_TIMEOUT,
-                      STATUS_OPTIMAL, solve_econstraint, solve_weighted_sum_ip)
+from .ipsolve import STATUS_OPTIMAL, solve_econstraint, solve_weighted_sum_ip
 from .lp import (RelaxedSubproblem, augmented_unit_weights,
                  lower_bound_frontier, refine_frontier)
 from .model import (DEFAULT_ENUM_CAP, Instance, ModelError, Solution,
@@ -225,31 +224,39 @@ class Solver:
 
     # -- helpers ----------------------------------------------------------
 
-    def _remaining(self) -> float:
-        return max(self._deadline - time.monotonic(), 0.01)
-
     def _accept(self, sol: Solution):
         if self.U.update(sol)[0]:
             self.K.update(np.asarray(sol.image))
+
+    def _weighted_sum_step(self, sub: RelaxedSubproblem, lam, node_limit: int = None):
+        """Run one weighted-sum IP over ``sub`` and pass its solution to U.
+
+        Returns None when the relaxation is infeasible, else the level set
+        (lam, rhs), valid for ``sub`` even when the IP stopped early, and its
+        rounded cut, which the cut log records, or None if it is redundant.
+        """
+        res, level = solve_weighted_sum_ip(sub, lam, self._deadline, node_limit)
+        self.stats.ips += 1
+        if level is None:
+            return None
+        if res.solution is not None:
+            self._accept(Solution.from_x(self.instance, res.solution))
+        cut = add_level_cut(self.instance.C, *level)
+        if cut is not None:
+            self.stats.cut_log.append((dict(sub.fixings), *cut))
+        return level, cut
 
     # -- warmstart --------------------------------------------------------
 
     def warmstart(self) -> bool:
         """Solve the predefined weight set at the root; False if infeasible."""
-        inst = self.instance
-        for lam in augmented_unit_weights(inst.p):
-            sub = RelaxedSubproblem(inst, {}, list(self.root_cuts))
-            res, level = solve_weighted_sum_ip(sub, lam, self._remaining())
-            self.stats.ips += 1
-            if res.status == STATUS_INFEASIBLE:
+        for lam in augmented_unit_weights(self.instance.p):
+            step = self._weighted_sum_step(
+                RelaxedSubproblem(self.instance, {}, list(self.root_cuts)), lam)
+            if step is None:
                 return False
-            if res.solution is not None:
-                self._accept(Solution.from_x(inst, res.solution))
-            if level is not None:
-                cut = add_level_cut(inst.C, level[0], level[1])
-                if cut is not None:
-                    self.root_cuts.append(cut)
-                    self.stats.cut_log.append(({}, cut[0], cut[1]))
+            if step[1] is not None:
+                self.root_cuts.append(step[1])
         return True
 
     # -- scheduled e-constraint solves ------------------------------------
@@ -263,8 +270,8 @@ class Solver:
             return False
         # stage 1 minimizes z_0 under z_i <= lu_i - 1 for the other objectives
         eps = [int(v) - 1 for v in lu[1:]]
-        sub = RelaxedSubproblem(self.instance, {}, list(self.root_cuts))
-        res, n_ips = solve_econstraint(sub, 0, eps, self._remaining())
+        res, n_ips = solve_econstraint(self.instance, self.root_cuts, 0, eps,
+                                       self._deadline)
         self.stats.ips += n_ips
         if res.status == STATUS_OPTIMAL and res.solution is not None:
             self._accept(Solution.from_x(self.instance, res.solution))
@@ -279,28 +286,19 @@ class Solver:
         infeasibility, and cuts are the node's cut rows plus the IP's rounded
         level-set cut, if it has one.
         """
-        p = self.instance.p
-        sub = node.sub
-        cuts = sub.cut_rows
-        lam = slb_weight(node.parent_surviving_lubs, p)
+        cuts = node.sub.cut_rows
         # deterministic node budget so seeded runs reproduce exactly; the
         # global deadline still bounds the wall time
-        res, level = solve_weighted_sum_ip(sub, lam, self._remaining(),
-                                           node_limit=_SLB_NODE_LIMIT)
-        self.stats.ips += 1
-        if res.status == STATUS_INFEASIBLE:
+        step = self._weighted_sum_step(
+            node.sub, slb_weight(node.parent_surviving_lubs, self.instance.p),
+            _SLB_NODE_LIMIT)
+        if step is None:
             return None, cuts
-        if res.solution is not None:
-            self._accept(Solution.from_x(self.instance, res.solution))
-        hyperplanes = []
-        if res.status != STATUS_NO_SOLUTION_TIMEOUT and level is not None:
-            hyperplanes.append((np.asarray(level[0], dtype=float), float(level[1])))
-            cut = add_level_cut(self.instance.C, level[0], level[1])
-            if cut is not None:
-                cuts = cuts + [cut]
-                self.stats.cut_log.append((dict(sub.fixings), cut[0], cut[1]))
+        (lam, rhs), cut = step
+        if cut is not None:
+            cuts = cuts + [cut]
         # SLB runs at depth >= slb_level >= 1, so the node has a parent
-        return LowerBoundSet(hyperplanes=hyperplanes,
+        return LowerBoundSet(hyperplanes=[(lam, float(rhs))],
                              facet_offsets=node.parent_facet_offsets), cuts
 
     # -- node processing ---------------------------------------------------

@@ -96,8 +96,6 @@ class TestAcceptance:
                 hyperplanes=[(np.array([11.0, 1.0]), 21.5),
                              (np.array([2.0, 1.0]), 8.0),
                              (np.array([3.0, 10.0]), 29.0)],
-                extreme_points=[np.array([1.0, 10.5]), np.array([1.5, 5.0]),
-                                np.array([3.0, 2.0]), np.array([8.0, 0.5])],
                 facet_offsets=np.array([1.0, 0.5]))
             lu1 = np.array([6.0, 9.0])
             hb = hv_box_gap(lu1, L.facet_offsets)
@@ -166,7 +164,7 @@ class TestAcceptance:
                 if L is None:
                     continue
                 checked += 1
-                pts = L.extreme_points
+                pts = [inst.C @ x for x in L.extreme_solutions]
                 if len(pts) == 1:
                     lam = np.array([0.5, 0.5])
                     v = solve_lp(sub, lam @ inst.C).value

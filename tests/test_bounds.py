@@ -97,8 +97,6 @@ def polyline_bound():
         hyperplanes=[(np.array([11.0, 1.0]), 21.5),
                      (np.array([2.0, 1.0]), 8.0),
                      (np.array([3.0, 10.0]), 29.0)],
-        extreme_points=[np.array([1.0, 10.5]), np.array([1.5, 5.0]),
-                        np.array([3.0, 2.0]), np.array([8.0, 0.5])],
         facet_offsets=np.array([1.0, 0.5]))
 
 

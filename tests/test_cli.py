@@ -314,6 +314,15 @@ class TestProfile:
         assert "line 3" in capsys.readouterr().err
         assert not prof.exists()
 
+    def test_non_utf8_bench_is_clean_error(self, tmp_path, capsys):
+        bench = tmp_path / "latin1.csv"
+        bench.write_bytes((",".join(BENCH_HEADER) + "\nBB,caf\xe9,1,0.1,0,1,1\n")
+                          .encode("latin-1"))
+        prof = tmp_path / "profile.csv"
+        assert main(["profile", str(bench), "--out", str(prof)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not prof.exists()
+
     def test_empty_bench_gives_header_only(self, tmp_path):
         bench = tmp_path / "bench.csv"
         bench.write_text(",".join(BENCH_HEADER) + "\n")

@@ -1,5 +1,6 @@
 """Tests for the single-objective branch and bound and both scalarizations."""
 
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,7 +49,7 @@ class TestSingleObjective:
         inst = random_kp(0, p=2, n=40)
         sub = RelaxedSubproblem(inst)
         res = solve_single_objective(sub, inst.C[0].astype(float),
-                                     time_limit=1e-9)
+                                     deadline=time.monotonic())
         assert res.status in (STATUS_OPTIMAL, STATUS_FEASIBLE_TIMEOUT,
                               STATUS_NO_SOLUTION_TIMEOUT)
         exact = solve_single_objective(RelaxedSubproblem(inst),
@@ -129,25 +130,22 @@ class TestWeightedSum:
 
 class TestEConstraint:
     def test_bound_on_second_objective(self):
-        sub = RelaxedSubproblem(tiny_kp())
-        res, n_ips = solve_econstraint(sub, k=0, eps=[-2])
+        res, n_ips = solve_econstraint(tiny_kp(), [], k=0, eps=[-2])
         assert res.solution == (0, 1)
         assert n_ips == 2
 
     def test_unreachable_eps_infeasible(self):
-        sub = RelaxedSubproblem(tiny_kp())
-        res, n_ips = solve_econstraint(sub, k=0, eps=[-10])
+        res, n_ips = solve_econstraint(tiny_kp(), [], k=0, eps=[-10])
         assert res.status == STATUS_INFEASIBLE
         assert n_ips == 1
 
     def test_loose_eps_reduces_to_lexicographic_min(self):
-        sub = RelaxedSubproblem(tiny_kp())
-        res, _ = solve_econstraint(sub, k=0, eps=[100])
+        res, _ = solve_econstraint(tiny_kp(), [], k=0, eps=[100])
         assert res.solution == (1, 0)  # min z_1, ties broken by stage 2
 
     def test_wrong_eps_length_rejected(self):
         with pytest.raises(ValueError):
-            solve_econstraint(RelaxedSubproblem(tiny_kp()), k=0, eps=[1, 2])
+            solve_econstraint(tiny_kp(), [], k=0, eps=[1, 2])
 
     def test_stage2_result_is_efficient(self):
         for seed in range(6):
@@ -155,8 +153,7 @@ class TestEConstraint:
             from mobb.model import enumerate_nondominated
             front = {s.image for s in enumerate_nondominated(inst)}
             nadir = np.max(np.asarray(list(front)), axis=0)
-            res, _ = solve_econstraint(RelaxedSubproblem(inst), k=0,
-                                       eps=list(nadir[1:]))
+            res, _ = solve_econstraint(inst, [], k=0, eps=list(nadir[1:]))
             assert res.status == STATUS_OPTIMAL
             img = tuple(int(v) for v in inst.C @ np.asarray(res.solution))
             assert img in front
@@ -164,8 +161,8 @@ class TestEConstraint:
 
     def test_time_limit_covers_both_stages(self, monkeypatch):
         # a fake clock that advances 50 ms per reading; stage 1 times out,
-        # and stage 2 gets only what is left of the one limit. With the full
-        # limit for each stage the call took 2.15 s on this clock.
+        # and stage 2 stops at the same deadline. With a full second for each
+        # stage the call took 2.15 s on this clock.
         now = [0.0]
 
         def monotonic():
@@ -174,11 +171,10 @@ class TestEConstraint:
 
         monkeypatch.setattr(mobb.ipsolve, "time", SimpleNamespace(monotonic=monotonic))
         inst = generate(GeneratorSpec(family="KP", p=2, seed=1, items=30))
-        res, n_ips = solve_econstraint(RelaxedSubproblem(inst), k=0,
-                                       eps=[10**6], time_limit=1.0)
+        res, n_ips = solve_econstraint(inst, [], k=0, eps=[10**6], deadline=1.0)
         assert n_ips == 2
         assert res.status == STATUS_FEASIBLE_TIMEOUT
-        # a few readings past the limit, as a single-stage solve overruns
+        # a few readings past the deadline, as a single-stage solve overruns
         assert now[0] < 1.5
 
 

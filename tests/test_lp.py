@@ -15,7 +15,7 @@ from mobb.bounds import LowerBoundSet
 from mobb.cli import approach_config
 from mobb.instances import GeneratorSpec, generate
 from mobb.lp import (_FACET_TOL, _FEAS_TOL, _LEX_CAP, _PIVOT_TOL, INFEASIBLE,
-                     OPTIMAL, UNBOUNDED, RelaxedSubproblem, _dedupe_points,
+                     OPTIMAL, UNBOUNDED, RelaxedSubproblem, _dedupe_solutions,
                      _distinct, _feasible_subsets, _greedy_knapsack_lp,
                      _greedy_knapsack_rows, _lexmin, _normalize, _OuterRegion,
                      _solve_lps, _Tableau, lower_bound_frontier,
@@ -57,6 +57,11 @@ def random_instance(seed, p=2, n=6):
                     A=rng.integers(0, 8, (2, n)),
                     b=rng.integers(1, 8 * n, 2), senses=("le", "le"),
                     name=f"rand{seed}")
+
+
+def _images(inst, L):
+    """The images C x of L's extreme solutions, one row each."""
+    return np.asarray([inst.C @ x for x in L.extreme_solutions])
 
 
 class TestSimplex:
@@ -1001,17 +1006,16 @@ class TestDistinctRows:
         rng = np.random.default_rng(seed)
         points = list(rng.choice(_NEAR, (m, p)))
         sols = [np.array([i]) for i in range(m)]
-        got = _dedupe_points(points, sols)
-        ref = _dedupe_points_reference(points, sols)
-        assert [id(y) for y in got[0]] == [id(y) for y in ref[0]]
-        assert [id(x) for x in got[1]] == [id(x) for x in ref[1]]
+        got = _dedupe_solutions(points, sols)
+        _, ref = _dedupe_points_reference(points, sols)
+        assert [id(x) for x in got] == [id(x) for x in ref]
 
     def test_first_occurrences_in_order(self):
         verts = np.array([[2.0, 0.0], [1.0, -0.0], [2.00000001, 0.0],
                           [1.0, 0.0], [0.5, 0.5]])
         got = _distinct(verts)
         assert got.tobytes() == verts[[0, 1, 4]].tobytes()
-        _, sols = _dedupe_points(list(verts), ["a", "b", "c", "d", "e"])
+        sols = _dedupe_solutions(list(verts), ["a", "b", "c", "d", "e"])
         assert sols == ["e", "b", "a"]
 
 
@@ -1019,7 +1023,7 @@ class TestFrontier2d:
     def test_cover_segment(self):
         sub = RelaxedSubproblem(cover_instance())
         L = lower_bound_frontier(sub)
-        pts = sorted(tuple(np.round(y, 6)) for y in L.extreme_points)
+        pts = sorted(tuple(np.round(y, 6)) for y in _images(sub.instance, L))
         assert pts == [(0.0, 1.0), (1.0, 0.0)]
         normals = {tuple(np.round(lam / lam.sum(), 6)): rhs
                    for lam, rhs in L.hyperplanes}
@@ -1029,8 +1033,7 @@ class TestFrontier2d:
         inst = cover_instance()
         sub = RelaxedSubproblem(inst, fixings={0: 1, 1: 0})
         L = lower_bound_frontier(sub)
-        assert len(L.extreme_points) == 1
-        assert list(L.extreme_points[0]) == [1.0, 0.0]
+        assert _images(inst, L).tolist() == [[1.0, 0.0]]
         assert len(L.hyperplanes) >= 2  # one per unit direction
 
     def test_infeasible_returns_none(self):
@@ -1069,7 +1072,7 @@ class TestFrontier2d:
         inst = Instance(C=[[big, big + 10, big + 3], [big + 10, big, big + 4]],
                         A=[[1, 1, 1]], b=[1], senses=("ge",))
         L = lower_bound_frontier(RelaxedSubproblem(inst))
-        pts = np.asarray(L.extreme_points) - big
+        pts = _images(inst, L) - big
         assert np.allclose(pts, [[0, 10], [3, 4], [10, 0]], rtol=0.0, atol=1e-6)
         assert len(L.hyperplanes) == 5
 
@@ -1082,7 +1085,7 @@ class TestFrontier2d:
         inst = Instance(C=[[19, -17, -50], [-10**15, -18, 44]],
                         A=[[4, 38, 5], [36, 38, 23]], b=[23, 48], senses=("le", "le"))
         L = lower_bound_frontier(RelaxedSubproblem(inst))
-        assert np.all(np.asarray(L.extreme_points) >= L.facet_offsets)
+        assert np.all(_images(inst, L) >= L.facet_offsets)
         points, _, stats = solve(inst)
         assert stats.solved
         assert (sorted(tuple(int(v) for v in y) for y in points)
@@ -1129,13 +1132,13 @@ def _planes_hold_at_oracle(L, sub):
     return checked
 
 
-def _same_frontier(got, ref):
+def _same_frontier(inst, got, ref):
     """got's extreme points are ref's within 1e-7, in the same order, and so
     are its facet offsets. An end point may instead be a vertex inside the
     strip the lexmin cap allows: z_k within _LEX_CAP of its minimum and z_j
     no lower than ref's, since a fresh stage 2 can trade the slack in z_k
     for a lower z_j and leave its point up to some 1e-7 off the vertex."""
-    G, R = np.asarray(got.extreme_points), np.asarray(ref.extreme_points)
+    G, R = _images(inst, got), _images(inst, ref)
     assert G.shape == R.shape
     assert np.allclose(got.facet_offsets, ref.facet_offsets, rtol=0.0, atol=1e-7)
     near = np.all(np.abs(G - R) <= 1e-7, axis=1)
@@ -1172,7 +1175,7 @@ class TestInheritedFrontier:
                 assert lower_bound_frontier(child) is None
                 return
             got = lower_bound_frontier(child)
-            _same_frontier(got, ref)
+            _same_frontier(inst, got, ref)
             _planes_hold_at_oracle(got, child)
             sub, L = child, got
 
@@ -1192,12 +1195,12 @@ class TestInheritedFrontier:
         got = lower_bound_frontier(child)
         assert not calls
         assert child.pending is None and child.tableau is not sub.tableau
-        assert np.array_equal(got.extreme_points, L.extreme_points)
+        assert np.array_equal(got.extreme_solutions, L.extreme_solutions)
         assert np.array_equal(got.facet_offsets, L.facet_offsets)
         assert len(got.hyperplanes) == 2 + kept.count - 1
         monkeypatch.undo()
         ref = lower_bound_frontier(RelaxedSubproblem(inst, {0: 0}))
-        assert np.allclose(got.extreme_points, ref.extreme_points, rtol=0.0, atol=1e-7)
+        assert np.allclose(_images(inst, got), _images(inst, ref), rtol=0.0, atol=1e-7)
         assert _planes_hold_at_oracle(got, child) >= 1
 
 
@@ -1482,8 +1485,8 @@ def _refine_from_scratch(sub, L, refine_max):
     if refine_max <= 0 or p == 2:
         return L
     hyperplanes = list(L.hyperplanes)
-    points = list(L.extreme_points)
     sols = list(L.extreme_solutions)
+    points = [inst.C @ x for x in sols]
     cache = {}
 
     def weighted(lam):
@@ -1530,9 +1533,8 @@ def _refine_from_scratch(sub, L, refine_max):
             hyperplanes.append((lam, res.value))
             points.append(inst.C @ res.x)
             sols.append(res.x)
-    points, sols = _dedupe_points_reference(points, sols)
-    return LowerBoundSet(hyperplanes=hyperplanes,
-                         extreme_points=points, extreme_solutions=sols,
+    _, sols = _dedupe_points_reference(points, sols)
+    return LowerBoundSet(hyperplanes=hyperplanes, extreme_solutions=sols,
                          facet_offsets=L.facet_offsets)
 
 
@@ -1556,9 +1558,7 @@ def _assert_same_refinement(inst, fixings, refine_max):
     assert len(got.hyperplanes) == len(ref.hyperplanes)
     for (lam, r), (lam_ref, r_ref) in zip(got.hyperplanes, ref.hyperplanes):
         assert np.array_equal(lam, lam_ref) and r == r_ref
-    assert len(got.extreme_points) == len(ref.extreme_points)
-    for y, y_ref in zip(got.extreme_points, ref.extreme_points):
-        assert np.array_equal(y, y_ref)
+    assert len(got.extreme_solutions) == len(ref.extreme_solutions)
     for x, x_ref in zip(got.extreme_solutions, ref.extreme_solutions):
         assert np.array_equal(x, x_ref)
 

@@ -6,15 +6,18 @@ import math
 import operator
 import time
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mobb.ipsolve
 import mobb.solver
 from mobb.bounds import IncumbentList, LowerBoundSet, surviving_mask
 from mobb.instances import GeneratorSpec, generate
+from mobb.ipsolve import STATUS_FEASIBLE_TIMEOUT, STATUS_NO_SOLUTION_TIMEOUT
 from mobb.lp import KeptPoints, RelaxedSubproblem, _Tableau, lower_bound_frontier
 from mobb.model import (Instance, ModelError, Solution, enumerate_nondominated,
                         is_feasible)
@@ -177,7 +180,6 @@ class TestLevelCut:
 class TestPruneRedundantCuts:
     def _bound_with_solutions(self, sols):
         return LowerBoundSet(hyperplanes=[], facet_offsets=np.zeros(2),
-                             extreme_points=[np.zeros(2) for _ in sols],
                              extreme_solutions=[np.asarray(s, dtype=float)
                                                 for s in sols])
 
@@ -399,6 +401,83 @@ class TestConfigValidation:
         variant = dataclasses.replace(cfg, node_selection="lhg", time_limit=5.0)
         assert (variant.node_selection, variant.time_limit) == ("lhg", 5.0)
         assert cfg.node_selection == SolverConfig.node_selection
+
+
+class TestScalarizedIps:
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec(family="GAP", p=2, seed=2, agents=3, jobs=6),
+        GeneratorSpec(family="KP", p=2, seed=5, items=12)], ids=["GAP", "KP"])
+    def test_stopped_slb_ip_keeps_its_proven_level(self, monkeypatch, spec):
+        # no SLB IP may expand a node, so most stop with their root LP bound
+        # and no solution; that bound is still a valid level
+        monkeypatch.setattr(mobb.solver, "_SLB_NODE_LIMIT", 0)
+        ips, bounds = [], []
+        ip, slb = mobb.solver.solve_weighted_sum_ip, Solver.simple_lower_bound
+        monkeypatch.setattr(mobb.solver, "solve_weighted_sum_ip",
+                            lambda *args, **kw: ips.append(ip(*args, **kw)) or ips[-1])
+        monkeypatch.setattr(Solver, "simple_lower_bound",
+                            lambda self, node: bounds.append(slb(self, node)) or bounds[-1])
+        inst = generate(spec)
+        points, _, stats = solve(inst, SolverConfig(node_selection="lhg",
+                                                    slb_enabled=True, slb_level=2))
+        # without warmstart each weighted-sum IP is the one of an SLB call
+        assert len(ips) == len(bounds)
+        stopped = 0
+        for (res, level), (L, _) in zip(ips, bounds):
+            if res.status == STATUS_NO_SOLUTION_TIMEOUT:
+                stopped += 1
+                [(lam, rhs)] = L.hyperplanes
+                assert lam is level[0] and rhs == res.bound
+        assert stopped > 0
+        assert sorted(points) == oracle_front(inst)
+        assert stats.cut_log
+        for fixings, coeffs, rhs in stats.cut_log:
+            for s in enumerate_nondominated(inst, fixings):
+                assert int(coeffs @ np.asarray(s.x)) >= rhs
+
+    def test_every_ip_stops_at_the_solver_deadline(self, monkeypatch):
+        # the clock stands at 0 but reads just past the solver's deadline
+        # while an IP runs: each IP must stop at its first deadline check,
+        # after one LP per stage, and the search goes on around it
+        now = [0.0]
+        clock = SimpleNamespace(monotonic=lambda: now[0])
+        monkeypatch.setattr(mobb.solver, "time", clock)
+        monkeypatch.setattr(mobb.ipsolve, "time", clock)
+        lps = []
+        lp = mobb.ipsolve.solve_lp
+        monkeypatch.setattr(mobb.ipsolve, "solve_lp",
+                            lambda *args: lps.append(1) or lp(*args))
+        inst = generate(GeneratorSpec(family="KP", p=2, seed=5, items=12))
+        solver = Solver(inst, SolverConfig(node_selection="lhg", warmstart=True,
+                                           ec_enabled=True, slb_enabled=True,
+                                           slb_level=2, time_limit=100.0))
+        runs = []
+
+        def past_deadline(kind, fn):
+            def run(*args, **kw):
+                lps.clear()
+                now[0] = math.nextafter(solver._deadline, math.inf)
+                try:
+                    result = fn(*args, **kw)
+                finally:
+                    now[0] = 0.0
+                # warmstart IPs run at the root, SLB IPs below it
+                runs.append((kind(args), result[0].status, len(lps)))
+                return result
+            return run
+
+        monkeypatch.setattr(mobb.solver, "solve_weighted_sum_ip", past_deadline(
+            lambda args: "slb" if args[0].fixings else "warmstart",
+            mobb.solver.solve_weighted_sum_ip))
+        monkeypatch.setattr(mobb.solver, "solve_econstraint", past_deadline(
+            lambda args: "ec", mobb.solver.solve_econstraint))
+        points, _, stats = solver.solve()
+        assert stats.solved and sorted(points) == oracle_front(inst)
+        truncated = (STATUS_FEASIBLE_TIMEOUT, STATUS_NO_SOLUTION_TIMEOUT)
+        for kind, stages in (("warmstart", 1), ("ec", 2), ("slb", 1)):
+            mine = [(status, n) for k, status, n in runs if k == kind]
+            assert any(status in truncated for status, _ in mine), kind
+            assert all(n <= stages for _, n in mine), kind
 
 
 class TestNoFalsePruning:

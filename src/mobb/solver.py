@@ -19,10 +19,11 @@ import numpy as np
 from .bounds import (IncumbentList, LocalUpperBoundSet, LowerBoundSet,
                      MEASURE_HSZ, MEASURE_LHG, default_big_m, gap_argmax_lub,
                      gap_values, surviving_mask)
-from .ipsolve import STATUS_OPTIMAL, solve_econstraint, solve_weighted_sum_ip
+from .ipsolve import (STATUS_TARGET_REACHED, solve_econstraint,
+                      solve_weighted_sum_ip)
 from .lp import (RelaxedSubproblem, augmented_unit_weights,
                  lower_bound_frontier, refine_frontier)
-from .model import (DEFAULT_ENUM_CAP, Instance, ModelError, Solution,
+from .model import (DEFAULT_ENUM_CAP, FLOAT_TOL, Instance, ModelError, Solution,
                     enumerate_nondominated, is_feasible)
 
 SELECT_DEPTH = "depth"
@@ -104,7 +105,7 @@ class SolveStats:
     solved: bool = False
     cut_log: list = field(default_factory=list)        # (fixings, coeffs, rhs)
     # one dict per node under SolverConfig.trace: iteration, depth, free,
-    # fixings, outcome, slb (SLB built the bound), ec (an EC solve ran)
+    # fixings, outcome and the add-on flags process_node returns
     trace: list = field(default_factory=list)
 
 
@@ -228,23 +229,31 @@ class Solver:
         if self.U.update(sol)[0]:
             self.K.update(np.asarray(sol.image))
 
-    def _weighted_sum_step(self, sub: RelaxedSubproblem, lam, node_limit: int = None):
+    def _accept_result(self, res):
+        """Pass a scalarized IP's solution, if it returned one, to U: the
+        one solution rule for every IP, stopped ones included."""
+        if res.solution is not None:
+            self._accept(Solution.from_x(self.instance, res.solution))
+
+    def _weighted_sum_step(self, sub: RelaxedSubproblem, lam, node_limit: int = None,
+                           target: float = math.inf):
         """Run one weighted-sum IP over ``sub`` and pass its solution to U.
 
-        Returns None when the relaxation is infeasible, else the level set
-        (lam, rhs), valid for ``sub`` even when the IP stopped early, and its
-        rounded cut, which the cut log records, or None if it is redundant.
+        Returns None when the relaxation is infeasible, else the IP's result,
+        whose bound is the level rhs of lam.Cx >= rhs, valid for ``sub`` even
+        when the IP stopped early, and the level's rounded cut, which the cut
+        log records, or None if it is redundant.
         """
-        res, level = solve_weighted_sum_ip(sub, lam, self._deadline, node_limit)
+        res, level = solve_weighted_sum_ip(sub, lam, self._deadline, node_limit,
+                                           target=target)
         self.stats.ips += 1
         if level is None:
             return None
-        if res.solution is not None:
-            self._accept(Solution.from_x(self.instance, res.solution))
+        self._accept_result(res)
         cut = add_level_cut(self.instance.C, *level)
         if cut is not None:
             self.stats.cut_log.append((dict(sub.fixings), *cut))
-        return level, cut
+        return res, cut
 
     # -- warmstart --------------------------------------------------------
 
@@ -261,45 +270,53 @@ class Solver:
 
     # -- scheduled e-constraint solves ------------------------------------
 
-    def ec_step(self, L: LowerBoundSet) -> bool:
-        """Two-stage e-constraint solve below the lub of largest gap; False
-        if no lub survives, so nothing is solved."""
+    def ec_step(self, L: LowerBoundSet):
+        """Two-stage e-constraint solve in the box of the lub of largest gap.
+
+        Returns None if no lub survives, so nothing is solved, else whether
+        the solve found a point in the box, which then joins U.
+        """
         surviving = self.K.arr[surviving_mask(L, self.K.arr)]
         lu = gap_argmax_lub(L, surviving, self.config.measure)
         if lu is None:
-            return False
+            return None
         # stage 1 minimizes z_0 under z_i <= lu_i - 1 for the other objectives
+        # and looks only below lu_0, so any solution lies in the box z < lu
         eps = [int(v) - 1 for v in lu[1:]]
         res, n_ips = solve_econstraint(self.instance, self.root_cuts, 0, eps,
-                                       self._deadline)
+                                       self._deadline, cutoff=int(lu[0]))
         self.stats.ips += n_ips
-        if res.status == STATUS_OPTIMAL and res.solution is not None:
-            self._accept(Solution.from_x(self.instance, res.solution))
-        return True
+        self._accept_result(res)
+        return res.solution is not None
 
     # -- simple lower bound -----------------------------------------------
 
     def simple_lower_bound(self, node: Node):
         """Level-set bound from one weighted-sum IP plus the parent's facets.
 
-        Returns (LowerBoundSet or None, cuts): None means fathom by
-        infeasibility, and cuts are the node's cut rows plus the IP's rounded
-        level-set cut, if it has one.
+        Returns (LowerBoundSet or None, cuts, reached): None means fathom by
+        infeasibility, cuts are the node's cut rows plus the IP's rounded
+        level-set cut, if it has one, and reached says that the IP stopped at
+        its target. The target is the largest lam.u over the lubs u strictly
+        above the facets: a level that reaches it leaves no lub above the
+        bound, so the node is fathomed as it would be by the optimal level.
         """
         cuts = node.sub.cut_rows
+        lam = slb_weight(node.parent_surviving_lubs, self.instance.p)
+        # SLB runs at depth >= slb_level >= 1, so the node has a parent
+        facets = node.parent_facet_offsets
+        above = self.K.arr[(self.K.arr > facets + FLOAT_TOL).all(axis=1)]
+        target = float((above @ lam).max()) if len(above) else -math.inf
         # deterministic node budget so seeded runs reproduce exactly; the
         # global deadline still bounds the wall time
-        step = self._weighted_sum_step(
-            node.sub, slb_weight(node.parent_surviving_lubs, self.instance.p),
-            _SLB_NODE_LIMIT)
+        step = self._weighted_sum_step(node.sub, lam, _SLB_NODE_LIMIT, target)
         if step is None:
-            return None, cuts
-        (lam, rhs), cut = step
+            return None, cuts, False
+        res, cut = step
         if cut is not None:
             cuts = cuts + [cut]
-        # SLB runs at depth >= slb_level >= 1, so the node has a parent
-        return LowerBoundSet(hyperplanes=[(lam, float(rhs))],
-                             facet_offsets=node.parent_facet_offsets), cuts
+        L = LowerBoundSet(hyperplanes=[(lam, float(res.bound))], facet_offsets=facets)
+        return L, cuts, res.status == STATUS_TARGET_REACHED
 
     # -- node processing ---------------------------------------------------
 
@@ -324,44 +341,51 @@ class Solver:
     def process_node(self, node: Node, iteration: int, queue: _Queue):
         """Bound, then fathom or branch one node.
 
-        Returns (outcome, slb, ec): the fathom cause or "branched", whether
-        the simple lower bound replaced the frontier, and whether an
-        e-constraint solve ran. A node is pruned by infeasibility, by
-        dominance (no local upper bound lies strictly above its bound) or by
-        terminal enumeration.
+        Returns (outcome, addons): the fathom cause or "branched", and the
+        dict of the add-ons' outcomes at this node: ``slb`` (the simple lower
+        bound replaced the frontier), ``slb_target`` (its IP stopped at its
+        target), ``ec`` (an e-constraint solve ran) and ``ec_found`` (it found
+        a point in its box). A node is pruned by infeasibility, by dominance
+        (no local upper bound lies strictly above its bound) or by terminal
+        enumeration.
         """
         cfg = self.config
         inst = self.instance
         sub = node.sub
         free = sub.cols
+        addons = {"slb": False, "slb_target": False, "ec": False, "ec_found": False}
 
         if not len(free):
             # a leaf's one point joins the incumbents, which then dominate it
             sols = enumerate_nondominated(inst, sub.fixings)
             if not sols:
-                return "infeasibility", False, False
+                return "infeasibility", addons
             self._accept(sols[0])
-            return "dominance", False, False
+            return "dominance", addons
 
         if cfg.te_enabled and len(free) <= cfg.te_threshold:
             for sol in enumerate_nondominated(inst, sub.fixings):
                 self._accept(sol)
-            return "enumeration", False, False
+            return "enumeration", addons
 
         depth = len(sub.fixings)
         use_slb = (cfg.slb_enabled and depth >= cfg.slb_level
                    and depth % cfg.slb_level == 0)
         cuts = sub.cut_rows
         if use_slb:
-            L, cuts = self.simple_lower_bound(node)
+            L, cuts, addons["slb_target"] = self.simple_lower_bound(node)
+            addons["slb"] = True
         else:
             L = lower_bound_frontier(sub)
         if L is None:
-            return "infeasibility", use_slb, False
+            return "infeasibility", addons
 
         n = inst.n
-        ec = (cfg.ec_enabled and iteration % n == 0
-              and iteration <= inst.p * n * n and self.ec_step(L))
+        if (cfg.ec_enabled and iteration % n == 0
+                and iteration <= inst.p * n * n):
+            found = self.ec_step(L)
+            addons["ec"] = found is not None
+            addons["ec_found"] = bool(found)
 
         surviving = self._surviving(L)
         # refinement is deferred at every node, the root included: fathoming
@@ -372,7 +396,7 @@ class Solver:
             L = refine_frontier(sub, L, cfg.refine_max)
             surviving = self._surviving(L)
         if not len(surviving):
-            return "dominance", use_slb, ec
+            return "dominance", addons
 
         gap = (float(gap_values(L, surviving, cfg.measure).max())
                if cfg.dynamic else 0.0)
@@ -385,7 +409,7 @@ class Solver:
                             parent_facet_offsets=L.facet_offsets,
                             parent_surviving_lubs=(surviving.copy()
                                                    if cfg.slb_enabled else None)))
-        return "branched", use_slb, ec
+        return "branched", addons
 
     # -- main loop ---------------------------------------------------------
 
@@ -410,7 +434,7 @@ class Solver:
                     break
                 node = queue.pop()
                 iteration += 1
-                outcome, slb, ec = self.process_node(node, iteration, queue)
+                outcome, addons = self.process_node(node, iteration, queue)
                 stats.nodes_explored = iteration
                 if outcome == "branched":
                     stats.branched += 1
@@ -422,8 +446,7 @@ class Solver:
                     stats.trace.append({
                         "iteration": iteration, "depth": len(fixings),
                         "free": self.instance.n - len(fixings),
-                        "fixings": fixings, "outcome": outcome,
-                        "slb": slb, "ec": ec})
+                        "fixings": fixings, "outcome": outcome, **addons})
         else:
             stats.solved = True
         stats.wall_time = time.monotonic() - start

@@ -1,5 +1,7 @@
 """Tests for the single-objective branch and bound and both scalarizations."""
 
+import itertools
+import math
 import time
 from types import SimpleNamespace
 
@@ -12,10 +14,11 @@ import mobb.ipsolve
 from mobb.instances import GeneratorSpec, generate
 from mobb.ipsolve import (_INT_TOL, STATUS_FEASIBLE_TIMEOUT, STATUS_INFEASIBLE,
                           STATUS_NO_SOLUTION_TIMEOUT, STATUS_OPTIMAL,
+                          STATUS_TARGET_REACHED, _bound_rounding,
                           _fractional_var, solve_econstraint,
                           solve_single_objective, solve_weighted_sum_ip)
 from mobb.lp import RelaxedSubproblem, augmented_unit_weights
-from mobb.model import Instance
+from mobb.model import Instance, is_feasible
 
 
 def tiny_kp():
@@ -66,6 +69,95 @@ class TestSingleObjective:
                        if inst.A[0] @ np.array([(b >> k) & 1
                                                 for k in range(10)]) <= inst.b[0])
             assert res.value == pytest.approx(best)
+
+
+# small instances for the brute-force checks: knapsacks take the greedy LP,
+# GAP's equality rows the simplex
+BRUTE_SPECS = [GeneratorSpec(family="KP", p=2, seed=s, items=9) for s in range(4)] + [
+    GeneratorSpec(family="GAP", p=2, seed=s, agents=2, jobs=4) for s in range(4)]
+BRUTE_IDS = [f"{s.family}-s{s.seed}" for s in BRUTE_SPECS]
+
+
+def brute_min(inst, c):
+    """min c.x over every feasible binary x, by enumeration; inf if none."""
+    return min((float(np.asarray(c) @ x) for x in map(np.array, itertools.product(
+        (0, 1), repeat=inst.n)) if is_feasible(inst, x)), default=math.inf)
+
+
+def brute_objectives(inst):
+    """An integral objective (the first row of C) and a fractional one."""
+    return [inst.C[0].astype(float), np.array([0.37, 0.63]) @ inst.C]
+
+
+class TestCutoffAndTarget:
+    @pytest.mark.parametrize("spec", BRUTE_SPECS, ids=BRUTE_IDS)
+    def test_cutoff_returns_a_solution_iff_one_lies_below(self, spec):
+        inst = generate(spec)
+        for c in brute_objectives(inst):
+            best = brute_min(inst, c)
+            for cutoff in (best - 1, best - 0.3, best, best + 0.3, best + 1,
+                           math.inf):
+                res = solve_single_objective(RelaxedSubproblem(inst), c,
+                                             cutoff=cutoff)
+                if best < cutoff:
+                    assert res.status == STATUS_OPTIMAL
+                    assert res.value == pytest.approx(best, abs=1e-9)
+                    assert float(c @ np.asarray(res.solution)) == res.value
+                else:
+                    assert res.status == STATUS_INFEASIBLE
+                    assert res.solution is None and res.bound == cutoff
+
+    def test_target_stops_with_a_bound_between_it_and_the_minimum(self):
+        stopped = 0
+        for inst, c in ((inst, c) for inst in map(generate, BRUTE_SPECS)
+                        for c in brute_objectives(inst)):
+            best = brute_min(inst, c)
+            full = solve_single_objective(RelaxedSubproblem(inst), c)
+            for target in (-math.inf, best - 40, best - 5, best - 1, best - 0.5,
+                           best, best + 0.5, math.inf):
+                res = solve_single_objective(RelaxedSubproblem(inst), c,
+                                             target=target)
+                if res.status == STATUS_TARGET_REACHED:
+                    stopped += 1
+                    assert target <= res.bound <= best + 1e-9
+                    if res.solution is not None:
+                        assert float(c @ np.asarray(res.solution)) == res.value
+                else:
+                    # optimality is tested first: the search is as without
+                    # a target, and it ends at the minimum
+                    assert res == full
+                    assert res.value == pytest.approx(best, abs=1e-9)
+                if target > best + 1e-6:
+                    assert res == full
+        assert stopped > 0
+
+    @pytest.mark.parametrize("spec", BRUTE_SPECS, ids=BRUTE_IDS)
+    def test_bounds_rounded_only_for_an_integral_objective(self, spec, monkeypatch):
+        inst = generate(spec)
+        integral, fractional = brute_objectives(inst)
+        best = brute_min(inst, integral)
+        rounded = {k: solve_single_objective(RelaxedSubproblem(inst), integral,
+                                             node_limit=k) for k in range(6)}
+        frac = {k: solve_single_objective(RelaxedSubproblem(inst), fractional,
+                                          node_limit=k) for k in range(6)}
+        # the same solves with the raw LP value as every bound
+        monkeypatch.setattr(mobb.ipsolve, "_bound_rounding", lambda c: float)
+        for k in range(6):
+            raw = solve_single_objective(RelaxedSubproblem(inst), integral,
+                                         node_limit=k)
+            assert raw.bound <= rounded[k].bound <= best
+            if rounded[k].status != STATUS_OPTIMAL:
+                assert rounded[k].bound == math.ceil(rounded[k].bound)
+            assert frac[k] == solve_single_objective(RelaxedSubproblem(inst),
+                                                     fractional, node_limit=k)
+
+    def test_rounding_needs_a_small_slack(self):
+        c = np.array([3.0, -7.0, 2.0])
+        assert _bound_rounding(c)(-1.2) == -1.0
+        assert _bound_rounding(c)(4.0 + 1e-9) == 4.0 + 1e-9   # within the slack
+        assert _bound_rounding(c + 0.5) is float
+        # from ||c||_1 = 5e5 on the slack would reach 1/2
+        assert _bound_rounding(c * 10**5) is float
 
 
 def _fractional_var_loop(x, free):
@@ -138,6 +230,13 @@ class TestEConstraint:
         res, n_ips = solve_econstraint(tiny_kp(), [], k=0, eps=[-10])
         assert res.status == STATUS_INFEASIBLE
         assert n_ips == 1
+
+    def test_cutoff_skips_stage2_when_the_box_is_empty(self):
+        # z_1 <= -1 leaves (1, 0) and (0, 1), with z_0 = -3 and -1
+        res, n_ips = solve_econstraint(tiny_kp(), [], k=0, eps=[-1], cutoff=-3)
+        assert (res.status, res.bound, n_ips) == (STATUS_INFEASIBLE, -3, 1)
+        res, n_ips = solve_econstraint(tiny_kp(), [], k=0, eps=[-1], cutoff=-2)
+        assert (res.solution, n_ips) == ((1, 0), 2)
 
     def test_loose_eps_reduces_to_lexicographic_min(self):
         res, _ = solve_econstraint(tiny_kp(), [], k=0, eps=[100])

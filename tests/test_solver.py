@@ -337,7 +337,7 @@ class TestTrace:
 
     @staticmethod
     def instance():
-        return generate(GeneratorSpec(family="KP", p=2, seed=3, items=12))
+        return generate(GeneratorSpec(family="KP", p=2, seed=4, items=12))
 
     def test_one_record_per_node_and_counts_add_up(self):
         _, _, stats = solve(self.instance(), SolverConfig(trace=True, **self.CFG))
@@ -346,13 +346,19 @@ class TestTrace:
             range(1, stats.nodes_explored + 1))
         outcomes = {}
         for r in stats.trace:
-            assert set(r) == {"iteration", "depth", "free", "fixings",
-                              "outcome", "slb", "ec"}
+            assert set(r) == {"iteration", "depth", "free", "fixings", "outcome",
+                              "slb", "slb_target", "ec", "ec_found"}
             assert r["free"] == 12 - len(r["fixings"])
             outcomes[r["outcome"]] = outcomes.get(r["outcome"], 0) + 1
+            # an add-on's outcome is recorded only where the add-on ran, and
+            # an SLB IP stopped at its target leaves no lub above its bound
+            assert r["slb"] or not r["slb_target"]
+            assert r["ec"] or not r["ec_found"]
+            if r["slb_target"]:
+                assert r["outcome"] == "dominance"
         assert outcomes == {**stats.fathomed, "branched": stats.branched}
-        assert any(r["slb"] for r in stats.trace)
-        assert any(r["ec"] for r in stats.trace)
+        for flag in ("slb", "slb_target", "ec", "ec_found"):
+            assert any(r[flag] for r in stats.trace), flag
 
     def test_untraced_run_counts_the_same(self):
         inst = self.instance()
@@ -423,7 +429,7 @@ class TestScalarizedIps:
         # without warmstart each weighted-sum IP is the one of an SLB call
         assert len(ips) == len(bounds)
         stopped = 0
-        for (res, level), (L, _) in zip(ips, bounds):
+        for (res, level), (L, _, _) in zip(ips, bounds):
             if res.status == STATUS_NO_SOLUTION_TIMEOUT:
                 stopped += 1
                 [(lam, rhs)] = L.hyperplanes
@@ -437,47 +443,115 @@ class TestScalarizedIps:
 
     def test_every_ip_stops_at_the_solver_deadline(self, monkeypatch):
         # the clock stands at 0 but reads just past the solver's deadline
-        # while an IP runs: each IP must stop at its first deadline check,
-        # after one LP per stage, and the search goes on around it
+        # from an IP's first stage on, or for an EC from its ec_stage-th:
+        # each IP must stop at its first deadline check, after one LP per
+        # stage left, and the search goes on around it
         now = [0.0]
         clock = SimpleNamespace(monotonic=lambda: now[0])
         monkeypatch.setattr(mobb.solver, "time", clock)
         monkeypatch.setattr(mobb.ipsolve, "time", clock)
+        lps = []        # the LPs an IP solves once the deadline has passed
+        lp = mobb.ipsolve.solve_lp
+
+        def counted(*args):
+            if now[0]:
+                lps.append(1)
+            return lp(*args)
+
+        monkeypatch.setattr(mobb.ipsolve, "solve_lp", counted)
+        weighted_sum = mobb.solver.solve_weighted_sum_ip
+        econstraint = mobb.solver.solve_econstraint
+        stage = mobb.ipsolve.solve_single_objective
+        inst = generate(GeneratorSpec(family="KP", p=2, seed=5, items=12))
+        for ec_stage in (1, 2):
+            solver = Solver(inst, SolverConfig(node_selection="lhg", warmstart=True,
+                                               ec_enabled=True, slb_enabled=True,
+                                               slb_level=2, time_limit=100.0))
+            accepted = []
+            accept = solver._accept
+            monkeypatch.setattr(solver, "_accept",
+                                lambda sol: accepted.append(sol.x) or accept(sol))
+            runs = []
+            running = {}    # the kind of the IP that runs and its stages so far
+
+            def scalarized(kind, fn):
+                def run(*args, **kw):
+                    running.update(kind=kind(args), stages=0)
+                    lps.clear()
+                    try:
+                        result = fn(*args, **kw)
+                    finally:
+                        now[0] = 0.0
+                    runs.append((running["kind"], result[0], len(lps), len(accepted)))
+                    return result
+                return run
+
+            def staged(*args, **kw):
+                running["stages"] += 1
+                if running["kind"] != "ec" or running["stages"] == ec_stage:
+                    now[0] = math.nextafter(solver._deadline, math.inf)
+                return stage(*args, **kw)
+
+            monkeypatch.setattr(mobb.ipsolve, "solve_single_objective", staged)
+            # warmstart IPs run at the root, SLB IPs below it
+            monkeypatch.setattr(mobb.solver, "solve_weighted_sum_ip", scalarized(
+                lambda args: "slb" if args[0].fixings else "warmstart", weighted_sum))
+            monkeypatch.setattr(mobb.solver, "solve_econstraint", scalarized(
+                lambda args: "ec", econstraint))
+            points, _, stats = solver.solve()
+            assert stats.solved and sorted(points) == oracle_front(inst)
+            truncated = (STATUS_FEASIBLE_TIMEOUT, STATUS_NO_SOLUTION_TIMEOUT)
+            for kind, stages in (("warmstart", 1), ("ec", 3 - ec_stage), ("slb", 1)):
+                mine = [(res.status, n) for k, res, n, _ in runs if k == kind]
+                assert any(status in truncated for status, _ in mine), kind
+                assert all(n <= stages for _, n in mine), kind
+            # one solution rule: every solution an IP returns goes to U next,
+            # the stage-1 solution of an EC whose stage 2 stopped included
+            for _, res, _, i in runs:
+                assert res.solution is None or accepted[i] == res.solution
+            fallbacks = [res for k, res, _, _ in runs
+                         if k == "ec" and res.status == STATUS_FEASIBLE_TIMEOUT]
+            assert bool(fallbacks) == (ec_stage == 2)
+            assert all(res.solution is not None for res in fallbacks)
+
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec(family="KP", p=2, seed=5, items=12),
+        GeneratorSpec(family="GAP", p=2, seed=2, agents=3, jobs=6),
+        GeneratorSpec(family="KP", p=3, seed=1, items=10)],
+        ids=["KP2", "GAP2", "KP3"])
+    def test_cutoff_and_target_change_no_decision(self, monkeypatch, spec):
+        # EC's cutoff and SLB's target only stop IPs sooner: with every
+        # add-on, each node ends as it does when no IP gets them
         lps = []
         lp = mobb.ipsolve.solve_lp
         monkeypatch.setattr(mobb.ipsolve, "solve_lp",
                             lambda *args: lps.append(1) or lp(*args))
-        inst = generate(GeneratorSpec(family="KP", p=2, seed=5, items=12))
-        solver = Solver(inst, SolverConfig(node_selection="lhg", warmstart=True,
-                                           ec_enabled=True, slb_enabled=True,
-                                           slb_level=2, time_limit=100.0))
-        runs = []
+        inst = generate(spec)
+        cfg = SolverConfig(node_selection="lhg", warmstart=True, ec_enabled=True,
+                           slb_enabled=True, slb_level=2, te_enabled=True,
+                           te_threshold=4, trace=True)
+        got = solve(inst, cfg)
+        got_lps = len(lps)
+        stage = mobb.ipsolve.solve_single_objective
 
-        def past_deadline(kind, fn):
-            def run(*args, **kw):
-                lps.clear()
-                now[0] = math.nextafter(solver._deadline, math.inf)
-                try:
-                    result = fn(*args, **kw)
-                finally:
-                    now[0] = 0.0
-                # warmstart IPs run at the root, SLB IPs below it
-                runs.append((kind(args), result[0].status, len(lps)))
-                return result
-            return run
+        def uninformed(sub, c, deadline=math.inf, node_limit=None, **stops):
+            assert set(stops) <= {"cutoff", "target"}
+            return stage(sub, c, deadline, node_limit)
 
-        monkeypatch.setattr(mobb.solver, "solve_weighted_sum_ip", past_deadline(
-            lambda args: "slb" if args[0].fixings else "warmstart",
-            mobb.solver.solve_weighted_sum_ip))
-        monkeypatch.setattr(mobb.solver, "solve_econstraint", past_deadline(
-            lambda args: "ec", mobb.solver.solve_econstraint))
-        points, _, stats = solver.solve()
-        assert stats.solved and sorted(points) == oracle_front(inst)
-        truncated = (STATUS_FEASIBLE_TIMEOUT, STATUS_NO_SOLUTION_TIMEOUT)
-        for kind, stages in (("warmstart", 1), ("ec", 2), ("slb", 1)):
-            mine = [(status, n) for k, status, n in runs if k == kind]
-            assert any(status in truncated for status, _ in mine), kind
-            assert all(n <= stages for _, n in mine), kind
+        monkeypatch.setattr(mobb.ipsolve, "solve_single_objective", uninformed)
+        lps.clear()
+        ref = solve(inst, cfg)
+
+        def decisions(stats):
+            return [(r["fixings"], r["outcome"], r["slb"], r["ec"])
+                    for r in stats.trace]
+
+        assert decisions(got[2]) == decisions(ref[2])
+        assert got[0] == ref[0] == oracle_front(inst)
+        assert [s.x for s in got[1]] == [s.x for s in ref[1]]
+        assert any(r["slb_target"] for r in got[2].trace)
+        assert not any(r["slb_target"] for r in ref[2].trace)
+        assert got_lps < len(lps)
 
 
 class TestNoFalsePruning:
@@ -605,13 +679,13 @@ class _ChildRecordingSolver(Solver):
         push = queue.push
         queue.push = pushed.append
         try:
-            outcome, slb, ec = super().process_node(node, iteration, queue)
+            outcome, addons = super().process_node(node, iteration, queue)
         finally:
             del queue.push
         for child in pushed:
-            self.children.append((node.sub, slb, child))
+            self.children.append((node.sub, addons["slb"], child))
             push(child)
-        return outcome, slb, ec
+        return outcome, addons
 
 
 P2_GENERAL = [

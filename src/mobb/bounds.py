@@ -19,15 +19,17 @@ class LowerBoundSet:
     valid inequality lambda . y >= rhs for every feasible image of the
     subproblem. ``facet_offsets`` are valid componentwise lower bounds (the
     axis-parallel extreme facets), so they are also the bound's local ideal
-    point. ``extreme_solutions`` are the relaxation's solutions behind the
-    planes, as full x vectors; their images are ``C @ x``. A simple bound
+    point. ``extreme_solutions`` holds the relaxation's solutions behind the
+    planes as the rows of one (k, n) float array, full x vectors in the
+    builder's order; the image of a row x is ``C @ x``. A simple bound
     carries one level-set hyperplane plus the facets inherited from its parent
-    node, and no extreme solutions.
+    node, and no rows. A bound set does not change once built, so a p = 2
+    child reads its parent's rows in place (``RelaxedSubproblem.branch``).
     """
 
     hyperplanes: list            # [(np.ndarray lam, float rhs)]
     facet_offsets: np.ndarray    # float p-vector
-    extreme_solutions: list = field(default_factory=list)  # full x vectors
+    extreme_solutions: np.ndarray    # float (k, n): one full x vector per row
 
     @functools.cached_property
     def plane_matrix(self):

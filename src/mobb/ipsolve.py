@@ -156,31 +156,30 @@ def solve_weighted_sum_ip(sub: RelaxedSubproblem, lam, deadline: float = math.in
     return res, (lam, res.bound)
 
 
-def solve_econstraint(instance: Instance, cut_rows, k: int, eps,
+def solve_econstraint(instance: Instance, cut_rows, eps,
                       deadline: float = math.inf, cutoff: float = math.inf):
     """Two-stage e-constraint scalarization under the rows a.x >= rhs of
-    ``cut_rows``: min z_k under z_i <= eps_i and z_k < cutoff, then min sum z_i
-    under the stage-1 cap. Returns (result, n_ip_solves).
+    ``cut_rows``: min z_0 under z_i <= eps_i for i >= 1 (``eps`` holds
+    eps_1 .. eps_{p-1}) and z_0 < cutoff, then min sum z_i under the stage-1
+    cap. Returns (result, n_ip_solves).
 
     An optimal stage-2 solution is efficient for the underlying problem.
-    When stage 1 shows that no solution has z_k below ``cutoff``, stage 2 does
+    When stage 1 shows that no solution has z_0 below ``cutoff``, stage 2 does
     not run and the result is infeasible. Both stages stop at the one absolute
     ``deadline``; a stage 2 that stops without a solution returns stage 1's.
     """
-    p = instance.p
     eps = list(eps)
-    if len(eps) != p - 1:
-        raise ValueError(f"eps needs {p - 1} entries, got {len(eps)}")
-    others = [i for i in range(p) if i != k]
+    if len(eps) != instance.p - 1:
+        raise ValueError(f"eps needs {instance.p - 1} entries, got {len(eps)}")
     # z_i <= e  as  -C_i x >= -e
     rows = list(cut_rows) + [(-instance.C[i].astype(float), -float(e))
-                             for i, e in zip(others, eps)]
+                             for i, e in enumerate(eps, 1)]
     res1 = solve_single_objective(RelaxedSubproblem(instance, {}, rows),
-                                  instance.C[k].astype(float), deadline,
+                                  instance.C[0].astype(float), deadline,
                                   cutoff=cutoff)
     if res1.status in (STATUS_INFEASIBLE, STATUS_NO_SOLUTION_TIMEOUT):
         return res1, 1
-    stage2 = RelaxedSubproblem(instance, {}, rows + [(-instance.C[k].astype(float),
+    stage2 = RelaxedSubproblem(instance, {}, rows + [(-instance.C[0].astype(float),
                                                       -float(res1.value))])
     res2 = solve_single_objective(stage2, instance.C.sum(axis=0).astype(float), deadline)
     if res2.status in (STATUS_INFEASIBLE, STATUS_NO_SOLUTION_TIMEOUT):

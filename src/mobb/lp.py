@@ -283,8 +283,9 @@ class RelaxedSubproblem:
         # (column, value): a fixing the next simplex solve substitutes into a
         # copy of ``tableau``, which is then still the parent's; or None
         self.pending = None
-        # p = 2: the parent's extreme points this child's fixing keeps, which
-        # ``_frontier_2d`` starts from (set by ``branch``); or None
+        # p = 2: (the parent's bound set, the indices of its extreme
+        # solutions that this child's fixing keeps), set by ``branch`` and
+        # read once by ``_frontier_2d``; or None
         self.kept = None
 
     def full_x(self, y) -> np.ndarray:
@@ -316,8 +317,10 @@ class RelaxedSubproblem:
 
         Only a child that keeps exactly this subproblem's cut rows, the same
         objects in the same order, has a relaxation inside this one's and
-        inherits: at p = 2, as ``kept``, the extreme points of ``bound``
-        (this subproblem's bound set) that its fixing keeps, and the tableau.
+        inherits: at p = 2, as ``kept = (bound, rows)``, ``bound`` itself
+        (this subproblem's bound set, read in place, not copied) and the
+        indices ``rows`` of its extreme solutions with |x_j - v| <= _KEEP_TOL,
+        when there are any; and the tableau.
         This subproblem first substitutes its own pending fixing. Then, when
         it has a simplex tableau (a knapsack never has one), the child's first
         solve starts from a copy of that tableau as it then stands: x_j
@@ -344,9 +347,10 @@ class RelaxedSubproblem:
             child.fixed_idx = np.concatenate((self.fixed_idx[:pos], [j], self.fixed_idx[pos:]))
             child.xf = np.concatenate((self.xf[:pos], [float(v)], self.xf[pos:]))
             child.pending = (c, float(v))
+        keep = (np.flatnonzero(np.abs(bound.extreme_solutions[:, j] - v) <= _KEEP_TOL)
+                if inside and bound is not None and self.instance.p == 2 else ())
         # a warm child's copy would otherwise carry this subproblem's
-        child.kept = (KeptPoints.of(bound, j, v) if inside and bound is not None
-                      and self.instance.p == 2 else None)
+        child.kept = (bound, keep) if len(keep) else None
         return child
 
     def apply_pending(self):
@@ -539,37 +543,6 @@ def augmented_unit_weights(p: int, delta: float = 1e-3):
     return weights
 
 
-@dataclass(frozen=True, slots=True)
-class KeptPoints:
-    """The extreme solutions of a p = 2 parent's bound set that a child's
-    fixing x_j = v keeps (|x_j - v| <= _KEEP_TOL), in the parent's sorted
-    order, with their positions there, the parent's number of extreme points
-    and its facet offsets: what ``_frontier_2d`` seeds the child's bound with.
-    A queued child's subproblem holds them, so they are small: their images
-    are not kept, since C x gives them again bit for bit, and each solution
-    is a copy of its bytes, which sits with the other small objects and not
-    among the tableaus in the heap (``np.frombuffer`` reads it back)."""
-
-    index: list
-    solutions: list     # bytes of float64 n-vectors
-    count: int
-    offsets: np.ndarray
-
-    @classmethod
-    def of(cls, L: LowerBoundSet, j: int, v: int):
-        """The solutions of L with x_j = v, or None if none has."""
-        # a list, not tuple() of a generator: such a tuple is resized into
-        # place instead of taken from the tuple free list, but freeing it adds
-        # to that list, so a long run fills the free lists to their caps
-        # (2000 tuples of each size, resident for good)
-        index = [i for i, x in enumerate(L.extreme_solutions)
-                 if abs(x[j] - v) <= _KEEP_TOL]
-        if not index:
-            return None
-        return cls(index, [L.extreme_solutions[i].tobytes() for i in index],
-                   len(L.extreme_solutions), L.facet_offsets)
-
-
 def _facet_normal(ya, yb):
     """The normalized weight whose level lines run through ya and yb, or None
     unless both of its entries exceed 1e-9."""
@@ -585,7 +558,7 @@ def _close(ya, yb) -> bool:
 
 def _place_lexmin(known, y, x, first: bool):
     """Put a lexicographic minimum (y, x) first or last in ``known``, the
-    sorted [parent index or None, point, solution] of ``_frontier_2d``.
+    sorted [parent row or None, point, solution] of ``_frontier_2d``.
 
     A fresh run has no point beyond its minima. But the cap's slack on the
     first objective minimized can leave the minimum a little inside a kept
@@ -615,10 +588,13 @@ def _frontier_2d(sub: RelaxedSubproblem) -> LowerBoundSet:
     or None when the relaxation is empty.
 
     The search starts from the known points: the two lexicographic minima
-    and the points ``sub.kept`` holds of the parent's bound, if any. A child's
-    relaxation is its parent's with x_j = v, so a kept point is an extreme
-    supported point of the child as well, and every plane of the parent is
-    valid in the child. A kept first or last point is the child's
+    and the parent's extreme points that ``sub.kept = (bound, rows)`` names,
+    if any: the rows ``rows`` of the parent's solution matrix, read in place.
+    ``sub.kept`` is then cleared, as ``apply_pending`` clears ``pending``, so
+    the parent's bound set goes once both children have built theirs. A
+    child's relaxation is its parent's with x_j = v, so a kept point is an
+    extreme supported point of the child as well, and every plane of the
+    parent is valid in the child. A kept first or last point is the child's
     lexicographic minimum, and the parent's facet offset stands for it, so
     its ``_lexmin`` is skipped. Two kept points that were adjacent in the
     parent bound a facet, whose plane needs no LP. The weighted sums are
@@ -626,30 +602,32 @@ def _frontier_2d(sub: RelaxedSubproblem) -> LowerBoundSet:
     points every point and plane is found afresh.
     """
     inst = sub.instance
-    kept = sub.kept
-    known, facets = [], []
-    if kept is not None:
+    known, facets, last = [], [], None
+    if sub.kept is not None:
+        parent, rows = sub.kept
+        sub.kept = None
         # as the child's first LP would, even when it solves none: then it
         # drops its parent's tableau, and its own children start warm
         sub.apply_pending()
         if sub.infeasible:
             return None
-        known = [[i, inst.C @ x, x] for i, x in
-                 zip(kept.index, map(np.frombuffer, kept.solutions))]
+        X, offsets = parent.extreme_solutions, parent.facet_offsets
+        last = len(X) - 1
+        known = [[i, inst.C @ x, x] for i, x in zip(rows.tolist(), X[rows])]
         for (i, ya, _), (k, yb, _) in zip(known, known[1:]):
             lam = _facet_normal(ya, yb) if k == i + 1 else None
             if lam is not None:
                 facets.append((lam, min(float(lam @ ya), float(lam @ yb))))
     if known and known[0][0] == 0:
-        v1 = float(kept.offsets[0])
+        v1 = float(offsets[0])
     else:
         left = _lexmin(sub, 0, 1)
         if left is None:
             return None
         v1 = left[0]
         _place_lexmin(known, *left[1:], first=True)
-    if kept is not None and known[-1][0] == kept.count - 1:
-        v2 = float(kept.offsets[1])
+    if last is not None and known[-1][0] == last:
+        v2 = float(offsets[1])
     else:
         right = _lexmin(sub, 1, 0)
         if right is None:
@@ -685,7 +663,7 @@ def _frontier_2d(sub: RelaxedSubproblem) -> LowerBoundSet:
             stack.append((yc, yb))
     order = np.lexsort((np.asarray(points)[:, 1], np.asarray(points)[:, 0]))
     return LowerBoundSet(hyperplanes=hyperplanes,
-                         extreme_solutions=[sols[i] for i in order],
+                         extreme_solutions=np.asarray(sols)[order],
                          facet_offsets=np.array([v1, v2]))
 
 
@@ -818,10 +796,11 @@ def _frontier_outer(sub: RelaxedSubproblem) -> LowerBoundSet:
 
 
 def _dedupe_solutions(points, sols):
-    """The solution of the first of each repeated point at 7 decimals, sorted
-    by the rounded point; ``points`` are the images of ``sols``."""
+    """The solutions of the first of each repeated point at 7 decimals, sorted
+    by the rounded point, as the rows of one array; ``points`` are the images
+    of ``sols``."""
     first = _first_occurrences(points)
-    return [sols[first[k]] for k in sorted(first)]
+    return np.asarray([sols[first[k]] for k in sorted(first)])
 
 
 def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
@@ -841,7 +820,6 @@ def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
     hyperplanes = list(L.hyperplanes)
     sols = list(L.extreme_solutions)
     points = [C @ x for x in sols]
-    cache = {}     # plane key -> LpResult
     solves = 0
     supported = set()
     plane_keys = {tuple(np.round(lam, 9)) for lam, _ in hyperplanes}
@@ -852,7 +830,7 @@ def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
             break
         has_active, lams = _vertex_weights(verts, region.normals, region.rhs)
         lam_keys = list(map(tuple, lams.round(9).tolist()))
-        # plan the round in vertex order; a cached plane still counts as a solve
+        # plan the round in vertex order
         plan = []
         vert_keys = map(tuple, verts.round(7).tolist())
         for i, (key, on) in enumerate(zip(vert_keys, has_active.tolist())):
@@ -865,15 +843,9 @@ def refine_frontier(sub: RelaxedSubproblem, L: LowerBoundSet,
             if solves + len(plan) >= refine_max:
                 break
         solves += len(plan)
-        todo = {}
-        for i, _ in plan:
-            if lam_keys[i] not in cache:
-                todo.setdefault(lam_keys[i], i)
-        objs = [lams[i] @ C for i in todo.values()]
-        cache.update(zip(todo, _solve_lps(sub, objs)))
+        results = _solve_lps(sub, [lams[i] @ C for i, _ in plan])
         pending = {}
-        for i, key in plan:
-            res = cache[lam_keys[i]]
+        for (i, key), res in zip(plan, results):
             if res.value > float(lams[i] @ verts[i]) + _FACET_TOL:
                 # a copy: a view would keep the round's matrix alive
                 pending.setdefault(lam_keys[i], (lams[i].copy(), res))

@@ -90,8 +90,9 @@ class Node:
     # its depth is its number of fixings, since a branching adds one
     sub: RelaxedSubproblem
     gap: float                       # frozen gap inherited from the parent
-    parent_facet_offsets: np.ndarray = None
-    parent_surviving_lubs: list = None   # held for SLB's weight only
+    # on an SLB level: (weight, the parent's facet offsets), decided once per
+    # branching by the parent; None where the node builds its LP bound
+    slb: tuple = None
 
 
 @dataclass
@@ -124,16 +125,14 @@ def add_level_cut(C, lam, rhs):
 
 
 def prune_redundant_cuts(cuts, L: LowerBoundSet):
-    """Drop cuts with strictly positive slack at every extreme solution of L."""
-    if not cuts or not L.extreme_solutions:
+    """Drop cuts with strictly positive slack at every extreme solution of L.
+    A bound with no extreme solutions keeps every cut. The cuts kept are new
+    tuples, so ``RelaxedSubproblem.branch`` builds the children afresh."""
+    X = L.extreme_solutions
+    if not len(X):
         return cuts
-    kept = []
-    for a, rhs in cuts:
-        af = np.asarray(a, dtype=float)
-        active = any(float(af @ x) <= rhs + 1e-6 for x in L.extreme_solutions)
-        if active:
-            kept.append((a, rhs))
-    return kept
+    return [(a, rhs) for a, rhs in cuts
+            if (X @ np.asarray(a, dtype=float) <= rhs + 1e-6).any()]
 
 
 def sum_of_ratios_variable(instance: Instance, free):
@@ -146,8 +145,8 @@ def choose_branch_variable(instance: Instance, L: LowerBoundSet, free, config: S
     """Most-often-fractional over the bound's extreme solutions, else sum-of-ratios."""
     if not len(free):
         raise ModelError("no free variables to branch on")
-    if config.branching == BRANCH_MOF and L.extreme_solutions:
-        X = np.asarray(L.extreme_solutions)[:, free]
+    if config.branching == BRANCH_MOF:
+        X = L.extreme_solutions[:, free]
         counts = (np.abs(X - np.rint(X)) > _INT_TOL).sum(axis=0)
         best = int(counts.argmax())  # argmax keeps the lowest index on ties
         if counts[best] > 0:
@@ -283,7 +282,7 @@ class Solver:
         # stage 1 minimizes z_0 under z_i <= lu_i - 1 for the other objectives
         # and looks only below lu_0, so any solution lies in the box z < lu
         eps = [int(v) - 1 for v in lu[1:]]
-        res, n_ips = solve_econstraint(self.instance, self.root_cuts, 0, eps,
+        res, n_ips = solve_econstraint(self.instance, self.root_cuts, eps,
                                        self._deadline, cutoff=int(lu[0]))
         self.stats.ips += n_ips
         self._accept_result(res)
@@ -292,7 +291,8 @@ class Solver:
     # -- simple lower bound -----------------------------------------------
 
     def simple_lower_bound(self, node: Node):
-        """Level-set bound from one weighted-sum IP plus the parent's facets.
+        """Level-set bound from one weighted-sum IP plus the parent's facets,
+        with the weight and facets the parent handed down in ``node.slb``.
 
         Returns (LowerBoundSet or None, cuts, reached): None means fathom by
         infeasibility, cuts are the node's cut rows plus the IP's rounded
@@ -302,9 +302,7 @@ class Solver:
         bound, so the node is fathomed as it would be by the optimal level.
         """
         cuts = node.sub.cut_rows
-        lam = slb_weight(node.parent_surviving_lubs, self.instance.p)
-        # SLB runs at depth >= slb_level >= 1, so the node has a parent
-        facets = node.parent_facet_offsets
+        lam, facets = node.slb
         above = self.K.arr[(self.K.arr > facets + FLOAT_TOL).all(axis=1)]
         target = float((above @ lam).max()) if len(above) else -math.inf
         # deterministic node budget so seeded runs reproduce exactly; the
@@ -315,7 +313,8 @@ class Solver:
         res, cut = step
         if cut is not None:
             cuts = cuts + [cut]
-        L = LowerBoundSet(hyperplanes=[(lam, float(res.bound))], facet_offsets=facets)
+        L = LowerBoundSet(hyperplanes=[(lam, float(res.bound))], facet_offsets=facets,
+                          extreme_solutions=np.empty((0, self.instance.n)))
         return L, cuts, res.status == STATUS_TARGET_REACHED
 
     # -- node processing ---------------------------------------------------
@@ -323,19 +322,18 @@ class Solver:
     def _surviving(self, L: LowerBoundSet) -> np.ndarray:
         """Pass the bound's integral extreme solutions to the incumbent list,
         then return the local upper bounds strictly above the bound."""
-        if L.extreme_solutions:
-            X = np.asarray(L.extreme_solutions)
-            Xr = np.rint(X)
-            idx = (np.abs(X - Xr).max(axis=1) <= _INT_TOL).nonzero()[0]
-            if len(idx):
-                # U only improves, so an image it weakly dominates now would
-                # be rejected anyway: skip its feasibility check and update
-                Y = Xr[idx].astype(np.int64) @ self.instance.C.T
-                idx = idx[~self.U.dominated(Y)]
-            for i in idx:
-                xi = Xr[i].astype(np.int64)
-                if is_feasible(self.instance, xi):
-                    self._accept(Solution.from_x(self.instance, xi))
+        X = L.extreme_solutions
+        Xr = np.rint(X)
+        idx = (np.abs(X - Xr).max(axis=1) <= _INT_TOL).nonzero()[0]
+        if len(idx):
+            # U only improves, so an image it weakly dominates now would
+            # be rejected anyway: skip its feasibility check and update
+            Y = Xr[idx].astype(np.int64) @ self.instance.C.T
+            idx = idx[~self.U.dominated(Y)]
+        for i in idx:
+            xi = Xr[i].astype(np.int64)
+            if is_feasible(self.instance, xi):
+                self._accept(Solution.from_x(self.instance, xi))
         return self.K.arr[surviving_mask(L, self.K.arr)]
 
     def process_node(self, node: Node, iteration: int, queue: _Queue):
@@ -368,9 +366,7 @@ class Solver:
                 self._accept(sol)
             return "enumeration", addons
 
-        depth = len(sub.fixings)
-        use_slb = (cfg.slb_enabled and depth >= cfg.slb_level
-                   and depth % cfg.slb_level == 0)
+        use_slb = node.slb is not None
         cuts = sub.cut_rows
         if use_slb:
             L, cuts, addons["slb_target"] = self.simple_lower_bound(node)
@@ -402,13 +398,14 @@ class Solver:
                if cfg.dynamic else 0.0)
         cuts = prune_redundant_cuts(cuts, L)
         j = choose_branch_variable(inst, L, free, cfg)
+        # SLB bounds the nodes at every slb_level-th depth below the root
+        depth = len(sub.fixings) + 1        # the children's
+        slb = ((slb_weight(surviving, inst.p), L.facet_offsets)
+               if cfg.slb_enabled and depth % cfg.slb_level == 0 else None)
         # RelaxedSubproblem.branch decides what each child inherits from the
-        # node: its tableau and, at p = 2, the points of L its fixing keeps
+        # node: its tableau and, at p = 2, the rows of L its fixing keeps
         for v in (0, 1):
-            queue.push(Node(sub=sub.branch(j, v, cuts, L), gap=gap,
-                            parent_facet_offsets=L.facet_offsets,
-                            parent_surviving_lubs=(surviving.copy()
-                                                   if cfg.slb_enabled else None)))
+            queue.push(Node(sub=sub.branch(j, v, cuts, L), gap=gap, slb=slb))
         return "branched", addons
 
     # -- main loop ---------------------------------------------------------

@@ -96,7 +96,7 @@ class TestAcceptance:
                 hyperplanes=[(np.array([11.0, 1.0]), 21.5),
                              (np.array([2.0, 1.0]), 8.0),
                              (np.array([3.0, 10.0]), 29.0)],
-                facet_offsets=np.array([1.0, 0.5]))
+                facet_offsets=np.array([1.0, 0.5]), extreme_solutions=np.empty((0, 2)))
             lu1 = np.array([6.0, 9.0])
             hb = hv_box_gap(lu1, L.facet_offsets)
             assert abs(hb - 42.5) <= 1e-9

@@ -97,14 +97,14 @@ def polyline_bound():
         hyperplanes=[(np.array([11.0, 1.0]), 21.5),
                      (np.array([2.0, 1.0]), 8.0),
                      (np.array([3.0, 10.0]), 29.0)],
-        facet_offsets=np.array([1.0, 0.5]))
+        facet_offsets=np.array([1.0, 0.5]), extreme_solutions=np.empty((0, 2)))
 
 
 def single_plane_bound():
     """The plane y_1 + y_2 >= 10, with axis facets at 0 that no test point
     comes near."""
     return LowerBoundSet(hyperplanes=[(np.array([1.0, 1.0]), 10.0)],
-                         facet_offsets=np.zeros(2))
+                         facet_offsets=np.zeros(2), extreme_solutions=np.empty((0, 2)))
 
 
 def sol(image, x=(0,)):
@@ -280,14 +280,16 @@ class TestSpanningPoints:
 
     def test_single_hyperplane(self):
         L = LowerBoundSet(hyperplanes=[(np.array([1.0, 1.0]), 2.0)],
-                          facet_offsets=np.array([-10.0, -10.0]))
+                          facet_offsets=np.array([-10.0, -10.0]),
+                          extreme_solutions=np.empty((0, 2)))
         sp1, sp2 = spanning_points(L, (2, 2))
         assert list(sp1) == [0.0, 2.0]
         assert list(sp2) == [2.0, 0.0]
 
     def test_boundary_lub_degenerates(self):
         L = LowerBoundSet(hyperplanes=[(np.array([1.0, 1.0]), 4.0)],
-                          facet_offsets=np.array([0.0, 0.0]))
+                          facet_offsets=np.array([0.0, 0.0]),
+                          extreme_solutions=np.empty((0, 2)))
         sp1, sp2 = spanning_points(L, (2, 2))
         assert list(sp1) == [2.0, 2.0]
         assert list(sp2) == [2.0, 2.0]

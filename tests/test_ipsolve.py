@@ -222,29 +222,29 @@ class TestWeightedSum:
 
 class TestEConstraint:
     def test_bound_on_second_objective(self):
-        res, n_ips = solve_econstraint(tiny_kp(), [], k=0, eps=[-2])
+        res, n_ips = solve_econstraint(tiny_kp(), [], eps=[-2])
         assert res.solution == (0, 1)
         assert n_ips == 2
 
     def test_unreachable_eps_infeasible(self):
-        res, n_ips = solve_econstraint(tiny_kp(), [], k=0, eps=[-10])
+        res, n_ips = solve_econstraint(tiny_kp(), [], eps=[-10])
         assert res.status == STATUS_INFEASIBLE
         assert n_ips == 1
 
     def test_cutoff_skips_stage2_when_the_box_is_empty(self):
         # z_1 <= -1 leaves (1, 0) and (0, 1), with z_0 = -3 and -1
-        res, n_ips = solve_econstraint(tiny_kp(), [], k=0, eps=[-1], cutoff=-3)
+        res, n_ips = solve_econstraint(tiny_kp(), [], eps=[-1], cutoff=-3)
         assert (res.status, res.bound, n_ips) == (STATUS_INFEASIBLE, -3, 1)
-        res, n_ips = solve_econstraint(tiny_kp(), [], k=0, eps=[-1], cutoff=-2)
+        res, n_ips = solve_econstraint(tiny_kp(), [], eps=[-1], cutoff=-2)
         assert (res.solution, n_ips) == ((1, 0), 2)
 
     def test_loose_eps_reduces_to_lexicographic_min(self):
-        res, _ = solve_econstraint(tiny_kp(), [], k=0, eps=[100])
+        res, _ = solve_econstraint(tiny_kp(), [], eps=[100])
         assert res.solution == (1, 0)  # min z_1, ties broken by stage 2
 
     def test_wrong_eps_length_rejected(self):
         with pytest.raises(ValueError):
-            solve_econstraint(tiny_kp(), [], k=0, eps=[1, 2])
+            solve_econstraint(tiny_kp(), [], eps=[1, 2])
 
     def test_stage2_result_is_efficient(self):
         for seed in range(6):
@@ -252,7 +252,7 @@ class TestEConstraint:
             from mobb.model import enumerate_nondominated
             front = {s.image for s in enumerate_nondominated(inst)}
             nadir = np.max(np.asarray(list(front)), axis=0)
-            res, _ = solve_econstraint(inst, [], k=0, eps=list(nadir[1:]))
+            res, _ = solve_econstraint(inst, [], eps=list(nadir[1:]))
             assert res.status == STATUS_OPTIMAL
             img = tuple(int(v) for v in inst.C @ np.asarray(res.solution))
             assert img in front
@@ -270,7 +270,7 @@ class TestEConstraint:
 
         monkeypatch.setattr(mobb.ipsolve, "time", SimpleNamespace(monotonic=monotonic))
         inst = generate(GeneratorSpec(family="KP", p=2, seed=1, items=30))
-        res, n_ips = solve_econstraint(inst, [], k=0, eps=[10**6], deadline=1.0)
+        res, n_ips = solve_econstraint(inst, [], eps=[10**6], deadline=1.0)
         assert n_ips == 2
         assert res.status == STATUS_FEASIBLE_TIMEOUT
         # a few readings past the deadline, as a single-stage solve overruns

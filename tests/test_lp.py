@@ -1005,10 +1005,11 @@ class TestDistinctRows:
     def test_dedupe_points_equals_loop(self, seed, m, p):
         rng = np.random.default_rng(seed)
         points = list(rng.choice(_NEAR, (m, p)))
-        sols = [np.array([i]) for i in range(m)]
+        sols = [np.array([float(i)]) for i in range(m)]
         got = _dedupe_solutions(points, sols)
         _, ref = _dedupe_points_reference(points, sols)
-        assert [id(x) for x in got] == [id(x) for x in ref]
+        # one row per solution kept, in order; each row names its solution
+        assert got.ravel().tolist() == [x[0] for x in ref]
 
     def test_first_occurrences_in_order(self):
         verts = np.array([[2.0, 0.0], [1.0, -0.0], [2.00000001, 0.0],
@@ -1016,7 +1017,7 @@ class TestDistinctRows:
         got = _distinct(verts)
         assert got.tobytes() == verts[[0, 1, 4]].tobytes()
         sols = _dedupe_solutions(list(verts), ["a", "b", "c", "d", "e"])
-        assert sols == ["e", "b", "a"]
+        assert sols.tolist() == ["e", "b", "a"]
 
 
 class TestFrontier2d:
@@ -1151,8 +1152,8 @@ def _same_frontier(inst, got, ref):
 
 class TestInheritedFrontier:
     """A p = 2 child's bound seeded with the parent's extreme points that its
-    fixing keeps (``KeptPoints``) is the bound a fresh ``_frontier_2d``
-    finds, with fewer LPs."""
+    fixing keeps (``kept``: the parent's bound and the rows read from it) is
+    the bound a fresh ``_frontier_2d`` finds, with fewer LPs."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, len(CHAIN_SPECS) - 1), st.integers(0, 10_000))
@@ -1187,8 +1188,9 @@ class TestInheritedFrontier:
         sub = RelaxedSubproblem(inst)
         L = lower_bound_frontier(sub)
         child = sub.branch(0, 0, None, L)
-        kept = child.kept
-        assert kept.index == list(range(kept.count)) and kept.count >= 3
+        bound, rows = child.kept
+        count = len(L.extreme_solutions)
+        assert bound is L and rows.tolist() == list(range(count)) and count >= 3
         calls = []
         monkeypatch.setattr(mobb.lp, "solve_lp",
                             lambda *args: calls.append(1) or solve_lp(*args))
@@ -1197,7 +1199,9 @@ class TestInheritedFrontier:
         assert child.pending is None and child.tableau is not sub.tableau
         assert np.array_equal(got.extreme_solutions, L.extreme_solutions)
         assert np.array_equal(got.facet_offsets, L.facet_offsets)
-        assert len(got.hyperplanes) == 2 + kept.count - 1
+        assert len(got.hyperplanes) == 2 + count - 1
+        # read once: the child no longer holds its parent's bound
+        assert child.kept is None
         monkeypatch.undo()
         ref = lower_bound_frontier(RelaxedSubproblem(inst, {0: 0}))
         assert np.allclose(_images(inst, got), _images(inst, ref), rtol=0.0, atol=1e-7)
@@ -1534,7 +1538,7 @@ def _refine_from_scratch(sub, L, refine_max):
             points.append(inst.C @ res.x)
             sols.append(res.x)
     _, sols = _dedupe_points_reference(points, sols)
-    return LowerBoundSet(hyperplanes=hyperplanes, extreme_solutions=sols,
+    return LowerBoundSet(hyperplanes=hyperplanes, extreme_solutions=np.asarray(sols),
                          facet_offsets=L.facet_offsets)
 
 

@@ -18,7 +18,7 @@ import mobb.solver
 from mobb.bounds import IncumbentList, LowerBoundSet, surviving_mask
 from mobb.instances import GeneratorSpec, generate
 from mobb.ipsolve import STATUS_FEASIBLE_TIMEOUT, STATUS_NO_SOLUTION_TIMEOUT
-from mobb.lp import KeptPoints, RelaxedSubproblem, _Tableau, lower_bound_frontier
+from mobb.lp import RelaxedSubproblem, _Tableau, lower_bound_frontier
 from mobb.model import (Instance, ModelError, Solution, enumerate_nondominated,
                         is_feasible)
 from mobb.solver import (_INT_TOL, Node, SolverConfig, Solver, _Queue,
@@ -178,10 +178,9 @@ class TestLevelCut:
 
 
 class TestPruneRedundantCuts:
-    def _bound_with_solutions(self, sols):
+    def _bound_with_solutions(self, sols, n=2):
         return LowerBoundSet(hyperplanes=[], facet_offsets=np.zeros(2),
-                             extreme_solutions=[np.asarray(s, dtype=float)
-                                                for s in sols])
+                             extreme_solutions=np.asarray(sols, dtype=float).reshape(-1, n))
 
     def test_slack_cut_removed(self):
         L = self._bound_with_solutions([(1.0, 1.0)])
@@ -197,14 +196,51 @@ class TestPruneRedundantCuts:
         L = self._bound_with_solutions([(1.0, 0.0)])
         assert prune_redundant_cuts([], L) == []
 
+    def test_bound_without_solutions_keeps_every_cut(self):
+        # an SLB bound has no rows; no cut is tested against it
+        L = self._bound_with_solutions([])
+        cuts = [(np.array([1, 1]), -5), (np.array([2, 0]), 1)]
+        assert prune_redundant_cuts(cuts, L) is cuts
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.integers(0, 6),
+           st.integers(1, 6))
+    def test_equals_loop(self, seed, k, n_cuts, n):
+        rng = np.random.default_rng(seed)
+        # halves and integers make some cuts tight at some solutions
+        X = rng.integers(0, 3, (k, n)) / 2.0
+        X[rng.random((k, n)) < 0.3] = rng.random()
+        L = self._bound_with_solutions(X, n)
+        cuts = [(rng.integers(-3, 4, n), int(rng.integers(-4, 5)))
+                for _ in range(n_cuts)]
+        got = prune_redundant_cuts(cuts, L)
+        ref = _prune_loop(cuts, L)
+        assert len(got) == len(ref)
+        for (a, rhs), (a_ref, rhs_ref) in zip(got, ref):
+            assert a is a_ref and rhs == rhs_ref
+
+
+def _prune_loop(cuts, L):
+    """The reference: a cut stays when some extreme solution x of L has
+    a.x <= rhs + 1e-6, tested one scalar product at a time; with no extreme
+    solutions every cut stays."""
+    if not len(L.extreme_solutions):
+        return cuts
+    kept = []
+    for a, rhs in cuts:
+        af = np.asarray(a, dtype=float)
+        if any(float(af @ x) <= rhs + 1e-6 for x in L.extreme_solutions):
+            kept.append((a, rhs))
+    return kept
+
 
 class TestBranchingRules:
     def test_most_often_fractional(self):
         inst = Instance(C=[[1, 1, 1], [1, 1, 1]], A=[[1, 1, 1]], b=[3],
                         senses=("le",))
         L = LowerBoundSet(hyperplanes=[], facet_offsets=np.zeros(2),
-                          extreme_solutions=[np.array([0.5, 1.0, 0.0]),
-                                             np.array([0.5, 0.2, 0.0])])
+                          extreme_solutions=np.array([[0.5, 1.0, 0.0],
+                                                      [0.5, 0.2, 0.0]]))
         j = choose_branch_variable(inst, L, [0, 1, 2], SolverConfig())
         assert j == 0  # fractional in both solutions
 
@@ -216,7 +252,13 @@ class TestBranchingRules:
     def test_integral_solutions_fall_back_to_ratio_rule(self):
         inst = Instance(C=[[3, 1], [1, 3]], A=[[1, 2]], b=[3], senses=("le",))
         L = LowerBoundSet(hyperplanes=[], facet_offsets=np.zeros(2),
-                          extreme_solutions=[np.array([1.0, 0.0])])
+                          extreme_solutions=np.array([[1.0, 0.0]]))
+        assert choose_branch_variable(inst, L, [0, 1], SolverConfig()) == 0
+
+    def test_bound_without_solutions_takes_ratio_rule(self):
+        inst = Instance(C=[[3, 1], [1, 3]], A=[[1, 2]], b=[3], senses=("le",))
+        L = LowerBoundSet(hyperplanes=[], facet_offsets=np.zeros(2),
+                          extreme_solutions=np.empty((0, 2)))
         assert choose_branch_variable(inst, L, [0, 1], SolverConfig()) == 0
 
     def test_ratio_ties_take_lowest_index(self):
@@ -267,6 +309,35 @@ class TestSlbWeight:
     def test_empty_parent_set_gives_equal_weights(self):
         assert slb_weight(None, 2) == pytest.approx([0.5, 0.5])
         assert slb_weight(np.empty((0, 2)), 2) == pytest.approx([0.5, 0.5])
+
+
+class TestSlbLevels:
+    """A parent decides SLB for its children: it computes one weight per
+    branching whose children sit on an SLB level, and at level 1 every node
+    below the root that builds a bound takes SLB."""
+
+    @pytest.mark.parametrize("level", [1, 3])
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec(family="GAP", p=2, seed=2, agents=3, jobs=6),
+        GeneratorSpec(family="KP", p=2, seed=5, items=12),
+    ], ids=lambda s: s.family)
+    def test_matches_oracle_with_one_weight_per_branching(self, monkeypatch,
+                                                          spec, level):
+        weights = []
+        weight = mobb.solver.slb_weight
+        monkeypatch.setattr(mobb.solver, "slb_weight",
+                            lambda *args: weights.append(1) or weight(*args))
+        inst = generate(spec)
+        points, _, stats = solve(inst, SolverConfig(
+            node_selection="lhg", slb_enabled=True, slb_level=level, trace=True))
+        assert stats.solved and points == oracle_front(inst)
+        on_level = [r["depth"] > 0 and r["depth"] % level == 0 for r in stats.trace]
+        for r, slb in zip(stats.trace, on_level):
+            assert r["slb"] == (slb and r["free"] > 0)
+        assert sum(r["slb"] for r in stats.trace) >= 10
+        assert len(weights) == sum(r["outcome"] == "branched"
+                                   and (r["depth"] + 1) % level == 0
+                                   for r in stats.trace)
 
 
 class TestWarmstart:
@@ -586,13 +657,12 @@ class _UnfilteredSolver(Solver):
     through ``is_feasible`` and the incumbent update, with no prefilter."""
 
     def _surviving(self, L):
-        if L.extreme_solutions:
-            X = np.asarray(L.extreme_solutions)
-            Xr = np.rint(X)
-            for i in np.where(np.max(np.abs(X - Xr), axis=1) <= _INT_TOL)[0]:
-                xi = Xr[i].astype(np.int64)
-                if mobb.solver.is_feasible(self.instance, xi):
-                    self._accept(Solution.from_x(self.instance, xi))
+        X = L.extreme_solutions
+        Xr = np.rint(X)
+        for i in np.where(np.max(np.abs(X - Xr), axis=1) <= _INT_TOL)[0]:
+            xi = Xr[i].astype(np.int64)
+            if mobb.solver.is_feasible(self.instance, xi):
+                self._accept(Solution.from_x(self.instance, xi))
         return self.K.arr[surviving_mask(L, self.K.arr)]
 
 
@@ -667,8 +737,9 @@ class _FreshChildSolver(Solver):
 
 
 class _ChildRecordingSolver(Solver):
-    """Records (parent subproblem, whether SLB built its bound, child node)
-    for every child pushed."""
+    """Records (parent subproblem, whether SLB built its bound, child node,
+    the child's ``kept`` as pushed) for every child pushed; ``_frontier_2d``
+    clears ``kept`` once it has read it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -683,7 +754,7 @@ class _ChildRecordingSolver(Solver):
         finally:
             del queue.push
         for child in pushed:
-            self.children.append((node.sub, addons["slb"], child))
+            self.children.append((node.sub, addons["slb"], child, child.sub.kept))
             push(child)
         return outcome, addons
 
@@ -737,7 +808,8 @@ class TestWarmChildren:
     def test_parent_released_once_both_children_are_built(self, monkeypatch,
                                                           strategy):
         # a queued child holds its parent's tableau until its first solve,
-        # and nothing holds the parent's subproblem or an older ancestor's
+        # and its parent's bound set until it builds its own; nothing holds
+        # the parent's subproblem or an older ancestor's
         records = weakref.WeakKeyDictionary()     # child -> its parent's record
         parent = {}             # the record of the subproblem being branched
         branch = RelaxedSubproblem.branch
@@ -747,9 +819,11 @@ class TestWarmChildren:
         def recorded_branch(sub, j, v, cut_rows=None, bound=None):
             if v == 0:
                 parent["record"] = {"sub": weakref.ref(sub), "built": 0,
-                                    "tableau": weakref.ref(sub.tableau)}
+                                    "tableau": weakref.ref(sub.tableau),
+                                    "bound": weakref.ref(bound), "kept": 0}
             child = branch(sub, j, v, cut_rows, bound)
             records[child] = parent["record"]
+            parent["record"]["kept"] += child.kept is not None
             return child
 
         def recorded_frontier(sub):
@@ -760,13 +834,16 @@ class TestWarmChildren:
                 if rec is not None:
                     rec["built"] += 1
                     if rec["built"] == 2:
-                        released.append(rec["sub"]() is None
-                                        and rec["tableau"]() is None)
+                        released.append((rec["sub"]() is None
+                                         and rec["tableau"]() is None
+                                         and rec["bound"]() is None, rec["kept"]))
 
         monkeypatch.setattr(RelaxedSubproblem, "branch", recorded_branch)
         monkeypatch.setattr(mobb.solver, "lower_bound_frontier", recorded_frontier)
         solve(generate(P2_GENERAL[0]), SolverConfig(node_selection=strategy))
-        assert len(released) >= 10 and all(released)
+        assert len(released) >= 10 and all(gone for gone, _ in released)
+        # the bound sets were held: a child of each of these kept rows
+        assert sum(kept > 0 for _, kept in released) >= 5
 
 
 class TestInheritedBounds:
@@ -783,14 +860,14 @@ class TestInheritedBounds:
         points, _, stats = solver.solve()
         assert stats.solved and points == oracle_front(inst)
         seen = {"dropped": 0, "added": 0, "slb": 0}
-        for parent, slb, child in solver.children:
+        for parent, slb, child, kept in solver.children:
             rows = child.sub.cut_rows
             if slb:
                 seen["slb"] += 1
-                assert child.sub.kept is None
+                assert kept is None
             if not (len(rows) == len(parent.cut_rows)
                     and all(map(operator.is_, rows, parent.cut_rows))):
-                assert child.sub.kept is None
+                assert kept is None
                 seen["added" if len(rows) > len(parent.cut_rows) else "dropped"] += 1
         assert min(seen.values()) >= 1, seen
 
@@ -801,15 +878,19 @@ class TestInheritedBounds:
         points, _, _ = solver.solve()
         assert points == oracle_front(inst)
         n_kept = 0
-        for _, _, child in solver.children:
-            kept = child.sub.kept
+        for _, _, child, kept in solver.children:
+            # a child reads its kept rows once, when it builds its bound
+            assert child.sub.kept is None
             if kept is None:
                 continue
             j = list(child.sub.fixings)[-1]     # the child's own fixing
             v = child.sub.fixings[j]
-            assert kept.index == sorted(kept.index)
-            solutions = map(np.frombuffer, kept.solutions)
-            assert all(abs(x[j] - v) <= 1e-9 for x in solutions)
+            bound, rows = kept
+            # the rows with the fixing, in order, read from the parent's bound
+            column = bound.extreme_solutions[:, j]
+            assert (np.diff(rows) > 0).all()
+            assert (np.abs(column[rows] - v) <= 1e-9).all()
+            assert (np.abs(np.delete(column, rows) - v) > 1e-9).all()
             n_kept += 1
         assert n_kept >= 5
 
@@ -822,15 +903,17 @@ class TestInheritedBounds:
         x = L.extreme_solutions[0]
         j = int(np.abs(x - x.round()).argmin())
         v = int(x[j].round())
-        assert KeptPoints.of(L, j, v) is not None
+        assert abs(x[j] - v) <= 1e-9
         return sub, L, j, v
 
     def test_slb_bound_keeps_nothing(self):
         # a simple bound has no extreme solutions to keep
         sub, L, j, v = self._root_with_kept_fixing(P2_GENERAL[0])
         slb = LowerBoundSet(hyperplanes=[(np.array([0.5, 0.5]), -1e9)],
-                            facet_offsets=L.facet_offsets)
-        assert sub.branch(j, v, None, L).kept is not None
+                            facet_offsets=L.facet_offsets,
+                            extreme_solutions=np.empty((0, sub.instance.n)))
+        bound, rows = sub.branch(j, v, None, L).kept
+        assert bound is L and 0 in rows
         assert sub.branch(j, v, None, slb).kept is None
 
     def test_p3_bound_keeps_nothing(self):

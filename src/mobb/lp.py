@@ -3,7 +3,6 @@ frontier of the linear relaxation."""
 
 from __future__ import annotations
 
-import copy
 import itertools
 import operator
 from dataclasses import dataclass
@@ -34,14 +33,16 @@ class LpResult:
 
 
 def _pivot(T, basis, r, j):
-    """Make column j basic in row r: one Gauss-Jordan step on the rows with a
-    nonzero in column j. Every value equals the step over all of T; only the
-    sign of a zero can differ, and no comparison sees it."""
+    """Make column j basic in row r: one Gauss-Jordan step, broadcast over
+    every row of T. A row with a zero in column j loses a signed zero from
+    each entry, so its values stay equal under ==; only the sign of a zero
+    can change, and no comparison sees it. On tableaus of a few dozen rows
+    the one broadcast costs less than gathering and scattering the rows
+    column j touches."""
     T[r] /= T[r, j]
     factor = T[:, j].copy()
     factor[r] = 0.0
-    nz = factor.nonzero()[0]
-    T[nz] -= factor[nz, None] * T[r]
+    T -= factor[:, None] * T[r]
     basis[r] = j
 
 
@@ -74,11 +75,13 @@ def _optimize(T, basis, ncols):
         rmin = float(ratios.min())
         if rmin <= _PIVOT_TOL:
             degenerate += 1
-        tie = pos[np.abs(ratios - rmin) <= 1e-12]
-        if use_bland and len(tie) > 1:
+        # rmin is the least ratio, so ratios - rmin >= 0 needs no abs
+        near = ratios - rmin <= 1e-12
+        if use_bland:
+            tie = pos[near]
             leave = int(tie[basis[tie].argmin()])
         else:
-            leave = int(tie[0])
+            leave = int(pos[near.argmax()])   # the first row within 1e-12
         _pivot(T, basis, leave, entering)
 
 
@@ -215,7 +218,8 @@ class _Tableau:
         at a zero right-hand side; the row always has a nonzero entry in some
         nonbasic slack column, since the basis matrix is invertible."""
         T = np.concatenate((self.T[:, :c], self.T[:, c + 1:]), axis=1)
-        T[:, -1] -= v * self.T[:, c]
+        if v:
+            T[:, -1] -= v * self.T[:, c]
         basis = self.basis - (self.basis > c)
         r = (self.basis == c).nonzero()[0]
         if len(r):
@@ -247,7 +251,9 @@ class RelaxedSubproblem:
     (Chvatal 1983, ch. 10). A copy made by ``with_row``, or by ``branch`` for
     a child that keeps the cut rows, starts from a copy of this tableau, with
     its row appended or its ``pending`` fixing substituted, and restores
-    feasibility by dual simplex.
+    feasibility by dual simplex. Both are shallow copies (``_copy``) that
+    rebind every attribute they change, so a copy writes into nothing of its
+    parent's; the instance, ``Af`` and ``bf`` stay shared.
     Every fixing is substituted, so the tableau's structural columns are
     always ``cols``, the free variables in increasing order.
     """
@@ -256,18 +262,17 @@ class RelaxedSubproblem:
         self.instance = instance
         self.fixings = {} if fixings is None else fixings
         self.cut_rows = [] if cut_rows is None else cut_rows   # [(a, rhs)]
-        A_le, b_le = instance.le_normalized()
-        rows = [A_le.astype(float)]
-        rhs = [b_le.astype(float)]
-        for a, r in self.cut_rows:
-            rows.append(-np.asarray(a, dtype=float)[None, :])
-            rhs.append(np.array([-float(r)]))
-        A = np.vstack(rows)
-        b = np.concatenate(rhs)
-        # the tableau's structural columns: the variables free at build time
-        self.cols = np.asarray([j for j in range(instance.n) if j not in self.fixings],
-                               dtype=np.int64)
+        # read-only: every step below makes new arrays
+        A, b = instance.le_float
+        if self.cut_rows:
+            A = np.vstack([A] + [-np.asarray(a, dtype=float)[None, :]
+                                 for a, _ in self.cut_rows])
+            b = np.concatenate([b, [-float(r) for _, r in self.cut_rows]])
         self.fixed_idx = np.asarray(sorted(self.fixings), dtype=np.int64)
+        # the tableau's structural columns: the variables free at build time
+        free = np.ones(instance.n, dtype=bool)
+        free[self.fixed_idx] = False
+        self.cols = free.nonzero()[0]
         self.xf = np.asarray([self.fixings[j] for j in self.fixed_idx], dtype=float)
         if len(self.fixed_idx):
             b = b - A[:, self.fixed_idx] @ self.xf
@@ -307,7 +312,7 @@ class RelaxedSubproblem:
         """
         if self.tableau is None or self.pending is not None:
             raise ValueError("with_row needs a solved simplex tableau")
-        extended = copy.copy(self)
+        extended = self._copy()
         extended._settle(self.tableau.with_row(a, float(rhs)))
         return extended
 
@@ -340,7 +345,7 @@ class RelaxedSubproblem:
             c = int(self.cols.searchsorted(j))
             pos = int(self.fixed_idx.searchsorted(j))
             # Af and bf stay an ancestor's: only phase 1 and the greedy read them
-            child = copy.copy(self)
+            child = self._copy()
             child.fixings = fixings
             child.cut_rows = list(self.cut_rows)
             child.cols = np.concatenate((self.cols[:c], self.cols[c + 1:]))
@@ -352,6 +357,13 @@ class RelaxedSubproblem:
         # a warm child's copy would otherwise carry this subproblem's
         child.kept = (bound, keep) if len(keep) else None
         return child
+
+    def _copy(self) -> "RelaxedSubproblem":
+        """A shallow copy, by one ``__dict__`` copy: every attribute is this
+        subproblem's until the copy rebinds it."""
+        twin = object.__new__(RelaxedSubproblem)
+        twin.__dict__ = self.__dict__.copy()
+        return twin
 
     def apply_pending(self):
         """Substitute the pending fixing into a copy of the tableau and
@@ -482,8 +494,10 @@ def solve_lp(sub: RelaxedSubproblem, c) -> LpResult:
     if sub.tableau.optimize(c[sub.cols]) == UNBOUNDED:
         raise ModelError("unbounded LP over a boxed binary relaxation")
     value, y = sub.tableau.point()
-    return LpResult(status=OPTIMAL, value=value + offset,
-                    x=sub.full_x(y.clip(0.0, 1.0)))
+    # y is fresh, so it is clipped in place; two ufuncs skip ndarray.clip's
+    # Python wrapper
+    np.minimum(np.maximum(y, 0.0, out=y), 1.0, out=y)
+    return LpResult(status=OPTIMAL, value=value + offset, x=sub.full_x(y))
 
 
 def _solve_lps(sub: RelaxedSubproblem, objs) -> list:

@@ -113,6 +113,15 @@ class Instance:
         return A_le, b_le
 
     @functools.cached_property
+    def le_float(self):
+        """``le_normalized()`` as float64, cast once per instance for the LP
+        relaxations; the arrays are read-only."""
+        A_le, b_le = (M.astype(float) for M in self._le)
+        A_le.flags.writeable = False
+        b_le.flags.writeable = False
+        return A_le, b_le
+
+    @functools.cached_property
     def ratio_scores(self) -> np.ndarray:
         """Sum-of-ratios branching scores, computed once per instance: each
         variable's summed absolute objective coefficients, divided by its

@@ -14,6 +14,7 @@ import mobb.lp
 from mobb.bounds import LowerBoundSet
 from mobb.cli import approach_config
 from mobb.instances import GeneratorSpec, generate
+from mobb.ipsolve import STATUS_OPTIMAL, solve_single_objective
 from mobb.lp import (_FACET_TOL, _FEAS_TOL, _LEX_CAP, _PIVOT_TOL, INFEASIBLE,
                      OPTIMAL, UNBOUNDED, RelaxedSubproblem, _dedupe_solutions,
                      _distinct, _feasible_subsets, _greedy_knapsack_lp,
@@ -152,9 +153,22 @@ def _pivot_dense(T, basis, r, j):
     basis[r] = j
 
 
+def _pivot_rows(T, basis, r, j):
+    """The reference Gauss-Jordan step in the other update order: a gather
+    and a scatter of only the rows with a nonzero in column j. Its values
+    equal ``_pivot_dense``'s under ==."""
+    T[r] /= T[r, j]
+    factor = T[:, j].copy()
+    factor[r] = 0.0
+    nz = np.flatnonzero(factor)
+    T[nz] -= factor[nz, None] * T[r]
+    basis[r] = j
+
+
 def _optimize_dense(T, basis, ncols):
     """The reference primal simplex: ratio tests masked over every row, and
-    ``_pivot_dense``. Reads ``mobb.lp._BLAND_AFTER`` when it runs."""
+    ``_pivot_rows``, so its pivots update the rows in another order than the
+    kernel's. Reads ``mobb.lp._BLAND_AFTER`` when it runs."""
     rows = T[:-1]
     degenerate = 0
     while True:
@@ -182,7 +196,7 @@ def _optimize_dense(T, basis, ncols):
             leave = int(tie[np.argmin(basis[tie])])
         else:
             leave = int(tie[0])
-        _pivot_dense(T, basis, leave, entering)
+        _pivot_rows(T, basis, leave, entering)
 
 
 def _dual_optimize_dense(T, basis, ncols):
@@ -218,10 +232,10 @@ def _dual_optimize_dense(T, basis, ncols):
             entering = int(tie[0])
         else:
             entering = int(tie[np.argmin(row[tie])])
-        _pivot_dense(T, basis, leave, entering)
+        _pivot_rows(T, basis, leave, entering)
 
 
-_DENSE = {"_pivot": _pivot_dense, "_optimize": _optimize_dense,
+_DENSE = {"_pivot": _pivot_rows, "_optimize": _optimize_dense,
           "_dual_optimize": _dual_optimize_dense}
 
 
@@ -294,8 +308,10 @@ def _random_tableau(rng, m, nv, dual, integral):
 
 
 class TestKernelLockstep:
-    """The kernel pivots only the rows its column touches and runs its ratio
-    tests on the candidate rows; every call must match the dense reference."""
+    """The kernel pivots by one broadcast over every row and runs its ratio
+    tests on the candidate rows; every call must match the reference, which
+    masks its ratio tests over every row and pivots only the rows its column
+    touches."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8),
@@ -310,14 +326,61 @@ class TestKernelLockstep:
             _lockstep(kernel, ref, T, basis, T.shape[1] - 1)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6),
-           st.sampled_from([1000, 0]))
-    def test_random_pivots(self, seed, m, w, bland_after):
+    @given(st.integers(0, 2**32 - 1),
+           # small shapes, and the mean tableau shapes of kp2-scalarized and
+           # lp2-general
+           st.one_of(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                     st.sampled_from([(20, 35), (70, 95)])))
+    def test_random_pivots(self, seed, shape):
+        m, w = shape
         rng = np.random.default_rng(seed)
-        T = rng.integers(-3, 4, (m + 1, w)) * rng.random((m + 1, w))
+        # mostly zeros, as in a tableau, so many rows skip the update
+        T = (rng.integers(-3, 4, (m + 1, w)) * rng.random((m + 1, w))
+             * (rng.random((m + 1, w)) < 0.3))
         r, j = int(rng.integers(m)), int(rng.integers(w))
         T[r, j] = float(rng.integers(1, 4)) * rng.choice([-1.0, 1.0])
-        _lockstep(mobb.lp._pivot, _pivot_dense, T, np.arange(m), r, j)
+        for reference in (_pivot_dense, _pivot_rows):
+            _lockstep(mobb.lp._pivot, reference, T.copy(), np.arange(m), r, j)
+
+    @pytest.mark.parametrize("gap, first", [
+        (0.0, True),       # an exact tie
+        (5e-13, True),     # the later row smaller by less than 1e-12
+        (-5e-13, True),    # the later row larger by less than 1e-12
+        (1e-11, False),    # the later row smaller by more than 1e-12
+    ])
+    def test_primal_ratio_ties_leave_the_first_row(self, gap, first):
+        # min -y over y <= 1 and y <= 1 - gap: y enters, and one pivot ends it
+        T = np.array([[1.0, 1.0, 0.0, 1.0],
+                      [1.0, 0.0, 1.0, 1.0 - gap],
+                      [-1.0, 0.0, 0.0, 0.0]])
+        basis = np.array([1, 2])
+        assert _lockstep(mobb.lp._optimize, _optimize_dense, T, basis, 3) == OPTIMAL
+        assert list(basis) == ([0, 2] if first else [1, 0])
+
+    def test_bland_ratio_ties_leave_the_least_basic_index(self, monkeypatch):
+        # both rows tie at ratio 0; row 0's basic column has the larger index
+        monkeypatch.setattr(mobb.lp, "_BLAND_AFTER", -1)
+        T = np.array([[1.0, 0.0, 1.0, 0.0],
+                      [1.0, 1.0, 0.0, 0.0],
+                      [-1.0, 0.0, 0.0, 0.0]])
+        basis = np.array([2, 1])
+        assert _lockstep(mobb.lp._optimize, _optimize_dense, T, basis, 3) == OPTIMAL
+        assert list(basis) == [2, 0]
+
+    @pytest.mark.parametrize("d1, entering", [
+        (2.0, 1),            # an exact tie: the larger pivot, -2 over -1
+        (2.0 + 1e-12, 1),    # the larger pivot's ratio above by 5e-13
+        (2.0 - 1e-12, 1),    # the larger pivot's ratio below by 5e-13
+        (2.0 + 1e-10, 0),    # no tie: the least ratio
+    ])
+    def test_dual_ratio_ties_keep_the_largest_pivot(self, d1, entering):
+        # -y0 - 2 y1 + s = -1 with reduced costs 1 and d1: ratios 1 and d1 / 2
+        T = np.array([[-1.0, -2.0, 1.0, -1.0],
+                      [1.0, d1, 0.0, 0.0]])
+        basis = np.array([2])
+        assert _lockstep(mobb.lp._dual_optimize, _dual_optimize_dense,
+                         T, basis, 3) == OPTIMAL
+        assert list(basis) == [entering]
 
     @pytest.mark.parametrize("bland_after", [1000, 0])
     @pytest.mark.parametrize("family", range(len(CHAIN_SPECS)))
@@ -341,6 +404,26 @@ class TestKernelLockstep:
         # artificials basic at zero and pivots them out
         assert (lock.phase1_pivots > 0) == (inst.m > 1)
         # a fixing of a basic variable pivots it out of the basis
+        assert lock.calls["_pivot"] > lock.phase1_pivots
+
+    @pytest.mark.parametrize("spec, cut", [
+        (GeneratorSpec(family="GAP", p=2, seed=1, agents=4, jobs=7), False),
+        (GeneratorSpec(family="KP", p=2, seed=1, items=16), True),
+    ])
+    def test_ip_tree(self, spec, cut):
+        # a scalarized IP's tree: the fixings' pivots, the warm children's
+        # dual simplex and every reprice are checked; a level cut takes the
+        # knapsack onto the simplex
+        inst = generate(spec)
+        cuts = _level_cut(inst, np.random.default_rng(0)) if cut else []
+        c = inst.C[0].astype(float)
+        with pytest.MonkeyPatch.context() as mp:
+            lock = _Lockstep(mp)
+            res = solve_single_objective(RelaxedSubproblem(inst, {}, cuts), c)
+        assert res.status == STATUS_OPTIMAL
+        assert res == solve_single_objective(RelaxedSubproblem(inst, {}, cuts), c)
+        assert lock.calls["_optimize"] >= 15
+        assert lock.calls["_dual_optimize"] >= 10
         assert lock.calls["_pivot"] > lock.phase1_pivots
 
     @settings(max_examples=60, deadline=None)
@@ -664,6 +747,38 @@ def _same_result(got, ref):
     assert got.status == ref.status
     if ref.status == OPTIMAL:
         assert got.value == ref.value and got.x.tobytes() == ref.x.tobytes()
+
+
+class TestCopies:
+    @pytest.mark.parametrize("family", range(len(CHAIN_SPECS)))
+    def test_solved_copies_leave_their_parent_as_it_was(self, family):
+        # warm children and a with_row copy are shallow copies of their
+        # parent; solving them, and branching below them, must not write
+        # into the parent's fixings, cut rows or tableau
+        inst = generate(CHAIN_SPECS[family])
+        rng = np.random.default_rng(family)
+        cuts = _level_cut(inst, rng) if inst.m == 1 else []
+        objs = [rng.random(inst.p) @ inst.C for _ in range(3)]
+        sub = RelaxedSubproblem(inst, {}, cuts)
+        x = solve_lp(sub, objs[0]).x
+        before = (dict(sub.fixings), list(sub.cut_rows), sub.tableau.T.tobytes(),
+                  sub.tableau.basis.tobytes(), sub.cols.tobytes())
+        a = np.zeros(len(sub.cols))
+        a[int(np.flatnonzero(x < 0.5)[0])] = -1.0
+        copies = [sub.branch(j, v) for j in range(3) for v in (0, 1)]
+        assert all(child.tableau is sub.tableau for child in copies)
+        copies.append(sub.with_row(a, -1.0))
+        for copy in copies:
+            for c in objs:
+                if solve_lp(copy, c).status == OPTIMAL:
+                    solve_lp(copy.branch(int(copy.cols[-1]), 1), c)
+        assert sub.fixings == before[0] and sub.fixings is not copies[0].fixings
+        assert len(sub.cut_rows) == len(before[1])
+        assert all(map(operator.is_, sub.cut_rows, before[1]))
+        assert sub.tableau.T.tobytes() == before[2]
+        assert sub.tableau.basis.tobytes() == before[3]
+        assert sub.cols.tobytes() == before[4]
+        assert sub.pending is None and not sub.infeasible
 
 
 class TestWithRow:
